@@ -9,165 +9,19 @@ the possible valences by exact rational arithmetic, search small graphs
 exhaustively, and build labelings of composite graphs from labelings of
 their factors.
 """
-from .errors import (
-    BudgetExceededError,
-    EdgeMagicError,
-    InvalidLabelingError,
-    ParseError,
-)
-from .graphs import (
-    Bipartition,
-    Digraph,
-    Graph,
-    bipartition,
-    check_bipartition,
-    edges_match_under,
-    format_digraph,
-    format_graph,
-    mk_complete_bipartite,
-    mk_crown,
-    mk_cycle,
-    mk_star_with_loop,
-    parse_digraph,
-    parse_graph,
-    underlying,
-)
-from .labelings import (
-    TotalLabeling,
-    check_total_labeling,
-    check_vertex_labeling,
-    complement,
-    extend_vertex_labeling,
-    format_labeling,
-    induced_sums,
-    is_super_edge_magic,
-    parse_labeling,
-    transport,
-    valence_of,
-)
-from .intervals import (
-    IntervalReport,
-    em_interval,
-    sem_interval,
-    trivial_valence_bounds,
-)
-from .search import (
-    DEFAULT_CAP,
-    SpectrumReport,
-    em_spectrum,
-    first_em_labeling,
-    first_sem_labeling,
-    is_perfect_em,
-    is_perfect_sem,
-    sem_spectrum,
-)
-from .products import (
-    ArcAssignment,
-    CYCLE4_EM_LABELINGS,
-    InducedProductLabeling,
-    LabeledDigraph,
-    crown_iso_from_cycle_product,
-    crown_iso_from_star_product,
-    directed_cycle_order,
-    em_factor_key,
-    induced_labeling_from_em_factors,
-    induced_labeling_from_sem_factors,
-    normalize_by_labels,
-    orient_cycle,
-    predicted_valences,
-    sem_factor_key,
-    star_loop_labeling,
-    star_product_valences,
-    tensor_product,
-    valence_count_floor,
-)
-from .decomp import (
-    Decomposition,
-    ObstructionReport,
-    S2nGraph,
-    build_s2n,
-    check_decomposition,
-    enumerate_2_decompositions,
-    induced_s2n_labeling,
-    obstruction_report,
-    orient_for_decomposition,
-    s2n_iso_map,
-    verify_s2n_iso,
-)
+from . import decomp, errors, graphs, intervals, labelings, products, search
+from .errors import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .labelings import *  # noqa: F401,F403
+from .intervals import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
+from .products import *  # noqa: F401,F403
+from .decomp import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "EdgeMagicError",
-    "ParseError",
-    "InvalidLabelingError",
-    "BudgetExceededError",
-    "Graph",
-    "Digraph",
-    "Bipartition",
-    "mk_cycle",
-    "mk_star_with_loop",
-    "mk_crown",
-    "mk_complete_bipartite",
-    "bipartition",
-    "check_bipartition",
-    "underlying",
-    "edges_match_under",
-    "parse_graph",
-    "parse_digraph",
-    "format_graph",
-    "format_digraph",
-    "TotalLabeling",
-    "check_total_labeling",
-    "check_vertex_labeling",
-    "valence_of",
-    "is_super_edge_magic",
-    "induced_sums",
-    "extend_vertex_labeling",
-    "complement",
-    "transport",
-    "parse_labeling",
-    "format_labeling",
-    "IntervalReport",
-    "trivial_valence_bounds",
-    "sem_interval",
-    "em_interval",
-    "DEFAULT_CAP",
-    "SpectrumReport",
-    "em_spectrum",
-    "sem_spectrum",
-    "first_em_labeling",
-    "first_sem_labeling",
-    "is_perfect_em",
-    "is_perfect_sem",
-    "LabeledDigraph",
-    "ArcAssignment",
-    "InducedProductLabeling",
-    "CYCLE4_EM_LABELINGS",
-    "tensor_product",
-    "normalize_by_labels",
-    "sem_factor_key",
-    "em_factor_key",
-    "induced_labeling_from_sem_factors",
-    "induced_labeling_from_em_factors",
-    "star_loop_labeling",
-    "orient_cycle",
-    "directed_cycle_order",
-    "crown_iso_from_cycle_product",
-    "crown_iso_from_star_product",
-    "star_product_valences",
-    "predicted_valences",
-    "valence_count_floor",
-    "Decomposition",
-    "check_decomposition",
-    "enumerate_2_decompositions",
-    "orient_for_decomposition",
-    "S2nGraph",
-    "build_s2n",
-    "s2n_iso_map",
-    "verify_s2n_iso",
-    "induced_s2n_labeling",
-    "ObstructionReport",
-    "obstruction_report",
+    *(name for module in (errors, graphs, labelings, intervals, search, products, decomp)
+      for name in module.__all__),
 ]

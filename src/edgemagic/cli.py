@@ -9,8 +9,11 @@ and intervals against the pairing identity of their rational extremes.
 
 Exit codes: 0 when the command succeeded and any claimed property holds,
 1 when a property fails (a labeling that is not magic, a mismatched
-prediction), 2 for unusable input (parse errors, budget refusals,
-unknown flags).
+prediction, a re-check that disagrees), 2 for unusable input (parse
+errors, budget refusals, unknown flags), 3 for an internal fault (a
+failed self-check, exhausted recursion depth or memory).  Unusable
+files, budget refusals and internal faults print one "error:" line on
+stderr instead of a traceback.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -30,7 +34,7 @@ from .decomp import (
     induced_s2n_labeling,
     verify_s2n_iso,
 )
-from .errors import EdgeMagicError
+from .errors import EdgeMagicError, ParseError
 from .graphs import (
     bipartition,
     format_digraph,
@@ -74,6 +78,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _read(path: str) -> str:
@@ -94,6 +99,21 @@ def _emit(args: argparse.Namespace, inputs: dict[str, str], result: Any, verifie
         "verified": verified,
     }
     print(json.dumps(cert, sort_keys=True))
+
+
+def _write_atomically(path: str, payload: Any) -> None:
+    """Write payload as JSON through a temporary file beside the target,
+    so the target holds either its old content or the whole new file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _interval_json(rep: IntervalReport) -> dict[str, Any]:
@@ -188,10 +208,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
     recheck = is_super_edge_magic if args.kind == "sem" else valence_of
     verified = all(recheck(G, w) == k for k, w in rep.witnesses.items())
-    if args.witnesses:
+    if args.witnesses and verified:
         payload = {str(k): _labeling_json(w) for k, w in sorted(rep.witnesses.items())}
-        with open(args.witnesses, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        _write_atomically(args.witnesses, payload)
     result = {
         "kind": args.kind,
         "interval": _interval_json(rep.interval),
@@ -218,6 +237,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
                 raise ValueError(f"assign line {ln}: expected '<arc> <member>'") from None
             if not 1 <= arc <= arcs or not 1 <= member <= len(members):
                 raise ValueError(f"assign line {ln}: index out of range")
+            if arc in picks:
+                raise ParseError(f"assign file names arc {arc} twice", ln)
             picks[arc] = members[member - 1]
         if len(picks) != arcs:
             raise ValueError("assign file leaves some arcs without a member")
@@ -461,6 +482,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EdgeMagicError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (RuntimeError, MemoryError) as exc:
+        # RuntimeError covers the self-checks and RecursionError
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

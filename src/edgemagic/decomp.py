@@ -35,10 +35,12 @@ from .graphs import (
     edges_match_under,
     underlying,
 )
-from .labelings import TotalLabeling, is_super_edge_magic, transport, valence_of
+from .labelings import TotalLabeling, is_super_edge_magic, valence_of
 from .products import (
     ArcAssignment,
     LabeledDigraph,
+    _fiber_map,
+    _realize,
     star_loop_labeling,
     induced_labeling_from_sem_factors,
     tensor_product,
@@ -130,7 +132,8 @@ class S2nGraph:
     (k+1)*p, X copies (in sorted original order) before Y copies.  Edges
     start with the base edges in order, then for each copy level k the
     level's cross edges in base edge order.  roles holds one (side,
-    level) pair per vertex, level 0 meaning original.
+    level) pair per vertex, level 0 meaning original; offsets[v-1] is
+    the position of original v's copy inside every copy block.
     """
 
     base: Graph
@@ -139,17 +142,15 @@ class S2nGraph:
     n: int
     graph: Graph
     roles: tuple[tuple[str, int], ...]
+    offsets: tuple[int, ...]
 
     def copy_index(self, v: int, k: int) -> int:
         """The vertex holding copy k of original vertex v, k in 1..n."""
         if not 1 <= k <= self.n:
             raise ValueError(f"copy level must lie in 1..{self.n}")
-        xs = sorted(self.parts.X)
-        if v in self.parts.X:
-            off = xs.index(v) + 1
-        else:
-            off = len(xs) + sorted(self.parts.Y).index(v) + 1
-        return k * self.base.p + off
+        if not 1 <= v <= self.base.p:
+            raise ValueError(f"original vertex must lie in 1..{self.base.p}")
+        return k * self.base.p + self.offsets[v - 1]
 
 
 def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
@@ -163,11 +164,12 @@ def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
     if not check_bipartition(G, bip):
         raise ValueError("not a bipartition of this graph")
     xs, ys = sorted(bip.X), sorted(bip.Y)
-    off = {v: i for i, v in enumerate(xs, start=1)}
-    off.update({v: len(xs) + i for i, v in enumerate(ys, start=1)})
+    offsets = [0] * G.p
+    for i, v in enumerate(xs + ys, start=1):
+        offsets[v - 1] = i
 
     def copy_of(v: int, k: int) -> int:
-        return k * G.p + off[v]
+        return k * G.p + offsets[v - 1]
 
     edges = list(G.edges)
     for k in range(1, n + 1):
@@ -189,6 +191,7 @@ def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
         n=n,
         graph=Graph(G.p * (n + 1), tuple(edges)),
         roles=tuple(roles),
+        offsets=tuple(offsets),
     )
 
 
@@ -201,18 +204,9 @@ def s2n_iso_map(s: S2nGraph, center: int = 1) -> dict[int, int]:
     sits) carries the originals; the remaining positions carry copy
     levels 1..n in order, skipping the center position.
     """
-    n = s.n
-    if not 1 <= center <= n + 1:
-        raise ValueError(f"center position must lie in 1..{n + 1}")
-    out: dict[int, int] = {}
-    for a in range(1, s.base.p + 1):
-        for i in range(1, n + 2):
-            src = (n + 1) * (a - 1) + i
-            if i == center:
-                out[src] = a
-            else:
-                out[src] = s.copy_index(a, i if i < center else i - 1)
-    return out
+    if not 1 <= center <= s.n + 1:
+        raise ValueError(f"center position must lie in 1..{s.n + 1}")
+    return _fiber_map(s.base.p, s.n, center, s.copy_index)
 
 
 def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool:
@@ -250,9 +244,7 @@ def induced_s2n_labeling(
     outer = LabeledDigraph(orient_for_decomposition(G, bip, d), f)
     star = star_loop_labeling(n, r)
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
-    lab = transport(underlying(ind.product), ind.labeling, s2n_iso_map(s, r), s.graph)
-    if valence_of(s.graph, lab) != ind.valence:
-        raise RuntimeError("transported labeling lost the valence")
+    lab = _realize(ind, s.graph, s2n_iso_map(s, r))
     if is_super_edge_magic(G, f) is not None:
         if is_super_edge_magic(s.graph, lab) != ind.valence:
             raise RuntimeError("transported labeling lost the vertex label range")
@@ -274,36 +266,22 @@ class ObstructionReport:
     """
 
     instance: bool
-    reason: str | None
     n: int
-    h1_edges: tuple[tuple[int, int], ...] | None
-    h2_edges: tuple[tuple[int, int], ...] | None
-    base_em_count: int | None
-    base_sem_count: int | None
-    star_em_count: int | None
-    star_sem_count: int | None
-    magic_test: str | None
-    sem_count_test: str | None
-    em_count_test: str | None
     overall: str
+    reason: str | None = None
+    h1_edges: tuple[tuple[int, int], ...] | None = None
+    h2_edges: tuple[tuple[int, int], ...] | None = None
+    base_em_count: int | None = None
+    base_sem_count: int | None = None
+    star_em_count: int | None = None
+    star_sem_count: int | None = None
+    magic_test: str | None = None
+    sem_count_test: str | None = None
+    em_count_test: str | None = None
 
 
 def _not_an_instance(n: int, reason: str) -> ObstructionReport:
-    return ObstructionReport(
-        instance=False,
-        reason=reason,
-        n=n,
-        h1_edges=None,
-        h2_edges=None,
-        base_em_count=None,
-        base_sem_count=None,
-        star_em_count=None,
-        star_sem_count=None,
-        magic_test=None,
-        sem_count_test=None,
-        em_count_test=None,
-        overall="not-an-instance",
-    )
+    return ObstructionReport(instance=False, n=n, overall="not-an-instance", reason=reason)
 
 
 def obstruction_report(
@@ -431,7 +409,6 @@ def obstruction_report(
         overall = "no-obstruction"
     return ObstructionReport(
         instance=True,
-        reason=None,
         n=n,
         h1_edges=tuple(h1),
         h2_edges=tuple(h2),

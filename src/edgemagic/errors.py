@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["EdgeMagicError", "ParseError", "InvalidLabelingError", "BudgetExceededError"]
+
 
 class EdgeMagicError(Exception):
     """Base class for errors raised by this package."""

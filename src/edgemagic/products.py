@@ -27,7 +27,7 @@ assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Digraph, Graph, mk_crown, underlying, edges_match_under
 from .labelings import (
@@ -211,10 +211,6 @@ def induced_labeling_from_sem_factors(
     v.  The result is super edge magic whenever the outer labeling is.
     """
     D = outer.digraph
-    if len(assignment.members) != len(D.arcs):
-        raise ValueError(
-            f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
-        )
     p_m, k = _common_key(assignment, sem_factor_key)
     v = valence_of(underlying(D), outer.labeling)
     if v is None:
@@ -260,10 +256,6 @@ def induced_labeling_from_em_factors(
         raise ValueError("outer digraph needs as many arcs as vertices")
     if is_super_edge_magic(GD, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
-    if len(assignment.members) != len(D.arcs):
-        raise ValueError(
-            f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
-        )
     q_m, sigma, vset = _common_key(assignment, em_factor_key)
     p_m = len(vset)
     total = p_m + q_m
@@ -343,27 +335,31 @@ def directed_cycle_order(D: Digraph) -> list[int]:
     return order
 
 
+def _fiber_map(
+    p: int, n: int, center: int, copy_of: Callable[[int, int], int]
+) -> dict[int, int]:
+    """Vertex map for an outer digraph on p vertices composed with
+    (n+1)-vertex star members: product vertex (n+1)*(a-1) + i goes to a
+    when fiber position i is `center`, and otherwise to copy_of(a, j),
+    the other positions taking copies j = 1..n in order."""
+    iso: dict[int, int] = {}
+    for a in range(1, p + 1):
+        for i in range(1, n + 2):
+            src = (n + 1) * (a - 1) + i
+            iso[src] = a if i == center else copy_of(a, i if i < center else i - 1)
+    return iso
+
+
 def crown_iso_from_cycle_product(m: int, n: int, center: int) -> dict[int, int]:
     """Vertex map onto mk_crown(m, n) for the cycle-composed-with-stars
     product.
 
     Assumes the outer digraph is orient_cycle(m) and every member is the
     renumbered star with loop whose center index is `center`.  Fiber
-    position `center` carries the cycle; every other position holds a
-    pendant of the previous cycle vertex.
+    position `center` carries the cycle; copy j of cycle vertex a is
+    pendant j of the previous cycle vertex.
     """
-    span = n + 1
-    iso: dict[int, int] = {}
-    for a in range(1, m + 1):
-        prev = m if a == 1 else a - 1
-        for i in range(1, span + 1):
-            src = span * (a - 1) + i
-            if i == center:
-                iso[src] = a
-            else:
-                j = i if i < center else i - 1
-                iso[src] = m + (prev - 1) * n + j
-    return iso
+    return _fiber_map(m, n, center, lambda a, j: m + ((a - 2) % m) * n + j)
 
 
 def crown_iso_from_star_product(m: int, n: int, member_cycle: Digraph) -> dict[int, int]:
@@ -390,13 +386,15 @@ def crown_iso_from_star_product(m: int, n: int, member_cycle: Digraph) -> dict[i
     return iso
 
 
-def _onto_crown(ind: InducedProductLabeling, crown: Graph, iso: dict[int, int]) -> TotalLabeling:
+def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
+    """Carry an induced labeling onto target along iso, re-checking that
+    iso matches the edges and that the valence survives the transport."""
     G = underlying(ind.product)
-    if not edges_match_under(G, crown, iso):
-        raise RuntimeError("product is not isomorphic to the crown under the stated map")
-    lab = transport(G, ind.labeling, iso, crown)
-    if valence_of(crown, lab) != ind.valence:
-        raise RuntimeError("crown labeling lost its valence in transport")
+    if not edges_match_under(G, target, iso):
+        raise RuntimeError("product does not match the target under the stated map")
+    lab = transport(G, ind.labeling, iso, target)
+    if valence_of(target, lab) != ind.valence:
+        raise RuntimeError("transported labeling lost its valence")
     return lab
 
 
@@ -428,7 +426,7 @@ def star_product_valences(
             ind = induced_labeling_from_sem_factors(
                 cycle_member, ArcAssignment.constant(star, m)
             )
-            lab = _onto_crown(ind, crown, crown_iso_from_cycle_product(m, n, r))
+            lab = _realize(ind, crown, crown_iso_from_cycle_product(m, n, r))
             found.setdefault(ind.valence, lab)
         for r in star_centers:
             outer = star_loop_labeling(n, r)
@@ -436,7 +434,7 @@ def star_product_valences(
                 outer, ArcAssignment.constant(cycle_member, n + 1)
             )
             ncyc, _ = normalize_by_labels(cycle_member)
-            lab = _onto_crown(ind, crown, crown_iso_from_star_product(m, n, ncyc.digraph))
+            lab = _realize(ind, crown, crown_iso_from_star_product(m, n, ncyc.digraph))
             found.setdefault(ind.valence, lab)
     return found
 

@@ -14,7 +14,7 @@ refused beyond a size cap instead of silently running forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -58,7 +58,7 @@ def _assignment_order(G: Graph) -> tuple[list[int], list[list[tuple[int, int]]]]
     return order, finishers
 
 
-def _find_witness(G: Graph, k: int, kind: str, transitive: bool) -> TotalLabeling | None:
+def _find_witness(G: Graph, k: int, kind: str) -> TotalLabeling | None:
     p, q = G.p, G.q
     total = p + q
     order, finishers = _assignment_order(G)
@@ -72,10 +72,7 @@ def _find_witness(G: Graph, k: int, kind: str, transitive: bool) -> TotalLabelin
         if i == p:
             return True
         v = order[i]
-        # With a transitive vertex group the first vertex may be assumed to
-        # carry the smallest vertex label, shrinking the search space.
-        start = vlab[order[0]] + 1 if transitive and i > 0 else 1
-        for lab in range(start, vmax + 1):
+        for lab in range(1, vmax + 1):
             if used[lab]:
                 continue
             used[lab] = 1
@@ -103,67 +100,60 @@ def _find_witness(G: Graph, k: int, kind: str, transitive: bool) -> TotalLabelin
     return TotalLabeling(tuple(vlab[v] for v in range(1, p + 1)), tuple(elab))
 
 
-def _spectrum(G: Graph, kind: str, cap: int, transitive: bool) -> SpectrumReport:
+def _search(
+    G: Graph, kind: str, cap: int
+) -> tuple[IntervalReport, Iterator[tuple[int, TotalLabeling]]]:
+    """Refuse graphs beyond the cap, then return the candidate interval and
+    a lazy stream of (valence, witness) hits in increasing valence, each
+    witness re-verified before it is yielded."""
     if G.p + G.q > cap:
         raise BudgetExceededError(
             f"refusing exhaustive search: p+q = {G.p + G.q} exceeds cap {cap}"
         )
     interval = sem_interval(G) if kind == "sem" else em_interval(G)
-    witnesses: dict[int, TotalLabeling] = {}
-    for k in interval.values():
-        w = _find_witness(G, k, kind, transitive)
-        if w is None:
-            continue
-        check = is_super_edge_magic(G, w) if kind == "sem" else valence_of(G, w)
-        if check != k:
-            raise RuntimeError(f"search produced a bad witness for valence {k}")
-        witnesses[k] = w
-    achieved = tuple(sorted(witnesses))
+    recheck = is_super_edge_magic if kind == "sem" else valence_of
+
+    def hits() -> Iterator[tuple[int, TotalLabeling]]:
+        for k in interval.values():
+            w = _find_witness(G, k, kind)
+            if w is None:
+                continue
+            if recheck(G, w) != k:
+                raise RuntimeError(f"search produced a bad witness for valence {k}")
+            yield k, w
+
+    return interval, hits()
+
+
+def _spectrum(G: Graph, kind: str, cap: int) -> SpectrumReport:
+    interval, hits = _search(G, kind, cap)
+    witnesses = dict(hits)
     return SpectrumReport(
         kind=kind,
         interval=interval,
-        achieved=achieved,
+        achieved=tuple(witnesses),
         witnesses=witnesses,
-        perfect=len(achieved) == interval.size,
+        perfect=len(witnesses) == interval.size,
     )
 
 
-def em_spectrum(G: Graph, cap: int = DEFAULT_CAP, assume_vertex_transitive: bool = False) -> SpectrumReport:
+def em_spectrum(G: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Every achievable edge magic valence of G, with one witness each.
 
     Candidates are scanned over the rational-bound interval; each witness is
     re-verified before it is reported.  Graphs with p+q beyond the cap raise
-    BudgetExceededError.  Only set assume_vertex_transitive for graphs whose
-    automorphism group is transitive on vertices (such as cycles); it prunes
-    by fixing the first searched vertex as the one with the smallest label.
+    BudgetExceededError.
     """
-    return _spectrum(G, "em", cap, assume_vertex_transitive)
+    return _spectrum(G, "em", cap)
 
 
-def sem_spectrum(G: Graph, cap: int = DEFAULT_CAP, assume_vertex_transitive: bool = False) -> SpectrumReport:
+def sem_spectrum(G: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Every achievable super edge magic valence of G, with one witness each.
 
     Identical to em_spectrum except vertices draw labels from 1..p only, so
     forced edge labels must land in p+1..p+q.
     """
-    return _spectrum(G, "sem", cap, assume_vertex_transitive)
-
-
-def _first(G: Graph, kind: str, cap: int) -> tuple[int, TotalLabeling] | None:
-    if G.p + G.q > cap:
-        raise BudgetExceededError(
-            f"refusing exhaustive search: p+q = {G.p + G.q} exceeds cap {cap}"
-        )
-    interval = sem_interval(G) if kind == "sem" else em_interval(G)
-    for k in interval.values():
-        w = _find_witness(G, k, kind, False)
-        if w is None:
-            continue
-        check = is_super_edge_magic(G, w) if kind == "sem" else valence_of(G, w)
-        if check != k:
-            raise RuntimeError(f"search produced a bad witness for valence {k}")
-        return k, w
-    return None
+    return _spectrum(G, "sem", cap)
 
 
 def first_em_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabeling] | None:
@@ -173,12 +163,12 @@ def first_em_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabel
     hit, so it is much cheaper than em_spectrum when only existence or a
     single witness matters.
     """
-    return _first(G, "em", cap)
+    return next(_search(G, "em", cap)[1], None)
 
 
 def first_sem_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabeling] | None:
     """The super edge magic labeling of G with the smallest valence, or None."""
-    return _first(G, "sem", cap)
+    return next(_search(G, "sem", cap)[1], None)
 
 
 def is_perfect_em(G: Graph, cap: int = DEFAULT_CAP) -> bool:

@@ -134,6 +134,26 @@ def test_spectrum_with_witness_file(files, capsys, tmp_path):
     assert valence_of(mk_cycle(4), f) == 14
 
 
+def test_spectrum_writes_no_witnesses_when_the_recheck_fails(files, capsys, tmp_path, monkeypatch):
+    out = tmp_path / "wit.json"
+    monkeypatch.setattr("edgemagic.cli.valence_of", lambda G, f: None)
+    code = main(["spectrum", "--kind", "em", "--witnesses", str(out), files("c4.g", C4_TEXT)])
+    _, cert = _last_cert(capsys)
+    assert code == 1
+    assert cert["verified"] is False
+    assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
+
+
+def test_internal_faults_exit_with_code_three(files, capsys):
+    # 1098 isolated vertices drive the backtracking past the recursion limit
+    deep = files("deep.g", "p 1100\ne 1 2\n")
+    code = main(["spectrum", "--kind", "em", "--cap", "5000", deep])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "RecursionError" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_spectrum_respects_the_cap(files, capsys):
     crown = files("crown.g", format_graph(mk_crown(4, 2)))
     code = main(["spectrum", "--kind", "em", crown])
@@ -213,6 +233,11 @@ def test_product_assign_errors(files, capsys):
                  "--assign", garbled])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+    repeated = files("repeated.txt", "1 1\n2 1\n3 1\n4 1\n4 1\n")
+    code = main(["product", "--mode", "spk", "--d", cyc, "--member", star,
+                 "--assign", repeated])
+    assert code == 2
+    assert "line 5" in capsys.readouterr().err
 
 
 def test_s2n_builds_and_verifies(files, capsys):

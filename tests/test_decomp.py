@@ -150,6 +150,9 @@ def test_doubling_roles_and_copy_index():
         s.copy_index(1, 0)
     with pytest.raises(ValueError):
         s.copy_index(1, 2)
+    for v in (0, 7):
+        with pytest.raises(ValueError):
+            s.copy_index(v, 1)
 
 
 def test_build_input_errors():
@@ -222,6 +225,17 @@ def test_induced_labeling_rejects_non_magic_bases():
     d = Decomposition(P3, frozenset({1}), frozenset({2}))
     with pytest.raises(ValueError):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
+
+
+def test_induced_labeling_refuses_a_wrong_fiber_map(monkeypatch):
+    bip = bipartition(P3)
+    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    _, f = first_em_labeling(P3)
+    # a bijection that swaps two originals no longer matches the edges
+    swapped = lambda s, r: {**s2n_iso_map(s, r), 1: 2, 3: 1}  # noqa: E731
+    monkeypatch.setattr("edgemagic.decomp.s2n_iso_map", swapped)
+    with pytest.raises(RuntimeError, match="does not match"):
+        induced_s2n_labeling(P3, bip, d, 1, f, 1)
 
 
 def test_doubling_of_a_magic_graph_is_magic():

@@ -119,13 +119,6 @@ def test_cap_refusal_is_loud():
         sem_spectrum(crown, cap=23)
 
 
-def test_vertex_transitive_pruning_matches_plain_search():
-    for m in (3, 4, 5, 6):
-        G = mk_cycle(m)
-        assert em_spectrum(G, assume_vertex_transitive=True).achieved == em_spectrum(G).achieved
-        assert sem_spectrum(G, assume_vertex_transitive=True).achieved == sem_spectrum(G).achieved
-
-
 def test_first_labeling_returns_smallest_valence():
     G = mk_cycle(4)
     k, f = first_em_labeling(G)
