@@ -187,7 +187,12 @@ def em_factor_key(member: LabeledDigraph) -> tuple[int, int, frozenset[int]]:
     return (G.q, v, frozenset(member.labeling.vertex_labels))
 
 
-def _common_key(assignment: ArcAssignment, key_fn):
+def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
+    """The key every member shares, given one member per arc of D."""
+    if len(assignment.members) != len(D.arcs):
+        raise ValueError(
+            f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
+        )
     keys = []
     for t, M in enumerate(assignment.members, start=1):
         try:
@@ -211,7 +216,7 @@ def induced_labeling_from_sem_factors(
     v.  The result is super edge magic whenever the outer labeling is.
     """
     D = outer.digraph
-    p_m, k = _common_key(assignment, sem_factor_key)
+    p_m, k = _common_key(D, assignment, sem_factor_key)
     v = valence_of(underlying(D), outer.labeling)
     if v is None:
         raise ValueError("outer labeling is not edge magic")
@@ -256,7 +261,7 @@ def induced_labeling_from_em_factors(
         raise ValueError("outer digraph needs as many arcs as vertices")
     if is_super_edge_magic(GD, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
-    q_m, sigma, vset = _common_key(assignment, em_factor_key)
+    q_m, sigma, vset = _common_key(D, assignment, em_factor_key)
     p_m = len(vset)
     total = p_m + q_m
     g = outer.labeling.vertex_labels

@@ -1,25 +1,55 @@
 """Exhaustive spectrum search for edge magic and super edge magic labelings.
 
-For each candidate valence k in the rational-bound interval the search
-assigns vertex labels one vertex at a time, highest degree first.  The
-moment both endpoints of an edge are labeled, the edge label is forced to
-k minus the endpoint sum, so edges never branch; a forced label outside
-the range or already in use prunes the branch.  Assigning all p vertices
-therefore pins all q edge labels, and the used-set discipline guarantees
-the result is a bijection onto 1..p+q.
+For each candidate valence k the search assigns vertex labels one vertex
+at a time, highest degree first.  The moment both endpoints of an edge
+are labeled, the edge label is forced to k minus the endpoint sum, so
+edges never branch; a forced label outside the range or already in use
+prunes the branch.  Assigning all p vertices therefore pins all q edge
+labels, and the used-set discipline guarantees the result is a bijection
+onto 1..p+q.
 
-The search is exact and deterministic but exponential, so instances are
-refused beyond a size cap instead of silently running forever.
+Two exact devices keep the search small.
+
+Mirror.  Every spectrum is symmetric about the middle of its rational
+window.  Replacing each label x by p+q+1-x turns an edge magic labeling
+of valence k into one of valence 3(p+q+1)-k; replacing a vertex label x
+by p+1-x and an edge label x by 2p+q+1-x turns a super edge magic one of
+valence k into one of valence 4p+q+3-k.  Those sums c are exactly
+raw_min + raw_max of the window, so only the valences k with 2k <= c are
+searched, and the witness reported for c-k is the dual of the witness
+found for k.
+
+Bound.  Summing the edge equation over all q edges gives q*k = sum of
+deg(v) * f(v) over the vertices + the sum of the edge labels.  Once some
+vertices are placed, the unknown part of that sum belongs to the unplaced
+vertices, weighted by their degrees (a loop counts twice), and to the
+edges not yet forced, weighted 1, and these take exactly the free labels.
+Pairing the weights in descending order with the free labels ascending,
+and then descending, gives its least and greatest values (the
+rearrangement extremes of intervals._extremes).  A partial labeling whose
+remainder, q*k minus the known part, falls outside them cannot be
+completed and is cut before the next vertex is placed.  For super edge
+magic labelings the free vertex labels take the degree weights and the
+free edge labels add a fixed sum.  The bound only cuts branches without
+a completion and leaves the order of the search alone, so each searched
+valence yields the same first witness as the search without it.
+
+Every witness, mirrored ones included, is re-verified before it is
+reported.  The search is exact and deterministic but exponential, so
+instances are refused beyond a size cap instead of silently running
+forever.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import compress
+from operator import mul
+from typing import Callable, Iterator, Mapping
 
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .intervals import IntervalReport, em_interval, sem_interval
-from .labelings import TotalLabeling, is_super_edge_magic, valence_of
+from .labelings import TotalLabeling, complement, is_super_edge_magic, valence_of
 
 __all__ = [
     "DEFAULT_CAP",
@@ -37,7 +67,11 @@ DEFAULT_CAP = 16
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Searched valences of one kind ('em' or 'sem') for one graph."""
+    """Searched valences of one kind ('em' or 'sem') for one graph.
+
+    Witnesses for valences above the middle of the window are the duals
+    of the witnesses for their mirror valences below it.
+    """
 
     kind: str
     interval: IntervalReport
@@ -46,58 +80,99 @@ class SpectrumReport:
     perfect: bool
 
 
-def _assignment_order(G: Graph) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Vertex order (degree descending, index ascending) plus, for each
-    position, the edges whose labels become forced at that point."""
-    order = sorted(range(1, G.p + 1), key=lambda v: (-G.degree(v), v))
+def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None]:
+    """Plan the search once per graph and return the search for one valence.
+
+    The plan holds the vertex order (degree descending, index ascending),
+    for each position the edges whose labels become forced there, and the
+    bound's weights for each depth, largest first.  The unplaced degrees
+    are a slice of the order; zero degrees add nothing and are left out.
+    Once every vertex of nonzero degree is placed, every edge is forced
+    and there is nothing left to bound.
+    """
+    p, q = G.p, G.q
+    total = p + q
+    sem = kind == "sem"
+    deg = G.degrees()
+    order = sorted(range(1, p + 1), key=lambda v: (-deg[v - 1], v))
+    degs = [deg[v - 1] for v in order]
     pos = {v: i for i, v in enumerate(order)}
     finishers: list[list[tuple[int, int]]] = [[] for _ in order]
     for i, (u, v) in enumerate(G.edges):
         later, other = (u, v) if pos[u] >= pos[v] else (v, u)
         finishers[pos[later]].append((i, other))
-    return order, finishers
+    vmax = p if sem else total
+    emin = p + 1 if sem else 1
+    live = sum(1 for d in degs if d)
+    unforced = q
+    weights: list[list[int]] = []
+    for i in range(live):
+        weights.append(degs[i:live] + ([] if sem else [1] * unforced))
+        unforced -= len(finishers[i])
+    labels = range(total + 1)
 
+    def find(k: int) -> TotalLabeling | None:
+        # free[x] is 1 while label x is unused; 0 is no label
+        free = bytearray([0]) + bytearray([1]) * total
+        vlab: dict[int, int] = {}
+        elab = [0] * q
 
-def _find_witness(G: Graph, k: int, kind: str) -> TotalLabeling | None:
-    p, q = G.p, G.q
-    total = p + q
-    order, finishers = _assignment_order(G)
-    vmax = p if kind == "sem" else total
-    emin = p + 1 if kind == "sem" else 1
-    used = bytearray(total + 2)
-    vlab: dict[int, int] = {}
-    elab = [0] * q
-
-    def place(i: int) -> bool:
-        if i == p:
-            return True
-        v = order[i]
-        for lab in range(1, vmax + 1):
-            if used[lab]:
-                continue
-            used[lab] = 1
-            vlab[v] = lab
-            forced: list[int] = []
-            ok = True
-            for ei, other in finishers[i]:
-                e = k - lab - vlab[other]
-                if e < emin or e > total or used[e]:
-                    ok = False
-                    break
-                used[e] = 1
-                elab[ei] = e
-                forced.append(e)
-            if ok and place(i + 1):
+        def completable(i: int, known: int) -> bool:
+            # known: sum of deg(v) * f(v) over placed v plus the forced edge labels
+            if i >= live:
                 return True
-            for e in forced:
-                used[e] = 0
-            used[lab] = 0
-            del vlab[v]
-        return False
+            w = weights[i]
+            rest = q * k - known
+            left = list(compress(labels, free))
+            if sem:
+                # the p - i free vertex labels lie below every free edge label
+                rest -= sum(left[p - i:])
+                del left[p - i:]
+            return sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left)))
 
-    if not place(0):
-        return None
-    return TotalLabeling(tuple(vlab[v] for v in range(1, p + 1)), tuple(elab))
+        def place(i: int, known: int) -> bool:
+            if i == p:
+                return True
+            if not completable(i, known):
+                return False
+            v, d = order[i], degs[i]
+            for lab in range(1, vmax + 1):
+                if not free[lab]:
+                    continue
+                free[lab] = 0
+                vlab[v] = lab
+                forced: list[int] = []
+                ok = True
+                for ei, other in finishers[i]:
+                    e = k - lab - vlab[other]
+                    if e < emin or e > total or not free[e]:
+                        ok = False
+                        break
+                    free[e] = 0
+                    elab[ei] = e
+                    forced.append(e)
+                if ok and place(i + 1, known + d * lab + sum(forced)):
+                    return True
+                for e in forced:
+                    free[e] = 1
+                free[lab] = 1
+                del vlab[v]
+            return False
+
+        if not place(0, 0):
+            return None
+        return TotalLabeling(tuple(vlab[v] for v in range(1, p + 1)), tuple(elab))
+
+    return find
+
+
+def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:
+    """Vertex label x to p+1-x and edge label x to 2p+q+1-x: a super edge
+    magic labeling of valence k becomes one of valence 4p+q+3-k."""
+    return TotalLabeling(
+        tuple(G.p + 1 - x for x in f.vertex_labels),
+        tuple(2 * G.p + G.q + 1 - x for x in f.edge_labels),
+    )
 
 
 def _search(
@@ -105,22 +180,39 @@ def _search(
 ) -> tuple[IntervalReport, Iterator[tuple[int, TotalLabeling]]]:
     """Refuse graphs beyond the cap, then return the candidate interval and
     a lazy stream of (valence, witness) hits in increasing valence, each
-    witness re-verified before it is yielded."""
+    witness re-verified before it is yielded.
+
+    Only the lower half of the interval is searched; the upper half is
+    streamed afterwards as the duals of the lower hits.
+    """
     if G.p + G.q > cap:
         raise BudgetExceededError(
             f"refusing exhaustive search: p+q = {G.p + G.q} exceeds cap {cap}"
         )
     interval = sem_interval(G) if kind == "sem" else em_interval(G)
     recheck = is_super_edge_magic if kind == "sem" else valence_of
+    dual = _sem_dual if kind == "sem" else complement
+    # exactly 3(p+q+1) for EM and 4p+q+3 for SEM
+    mirror = int(interval.raw_min + interval.raw_max)
+    find = _witness_finder(G, kind)
+
+    def verified(k: int, w: TotalLabeling) -> tuple[int, TotalLabeling]:
+        if recheck(G, w) != k:
+            raise RuntimeError(f"search produced a bad witness for valence {k}")
+        return k, w
 
     def hits() -> Iterator[tuple[int, TotalLabeling]]:
+        lower: list[tuple[int, TotalLabeling]] = []
         for k in interval.values():
-            w = _find_witness(G, k, kind)
-            if w is None:
-                continue
-            if recheck(G, w) != k:
-                raise RuntimeError(f"search produced a bad witness for valence {k}")
-            yield k, w
+            if 2 * k > mirror:
+                break
+            w = find(k)
+            if w is not None:
+                lower.append((k, w))
+                yield verified(k, w)
+        for k, w in reversed(lower):
+            if 2 * k < mirror:
+                yield verified(mirror - k, dual(G, w))
 
     return interval, hits()
 
@@ -140,7 +232,8 @@ def _spectrum(G: Graph, kind: str, cap: int) -> SpectrumReport:
 def em_spectrum(G: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Every achievable edge magic valence of G, with one witness each.
 
-    Candidates are scanned over the rational-bound interval; each witness is
+    The lower half of the rational-bound interval is searched and the upper
+    half is filled with complements of its witnesses; each witness is
     re-verified before it is reported.  Graphs with p+q beyond the cap raise
     BudgetExceededError.
     """
@@ -151,7 +244,8 @@ def sem_spectrum(G: Graph, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Every achievable super edge magic valence of G, with one witness each.
 
     Identical to em_spectrum except vertices draw labels from 1..p only, so
-    forced edge labels must land in p+1..p+q.
+    forced edge labels must land in p+1..p+q, and the upper half is filled
+    with super edge magic duals instead of complements.
     """
     return _spectrum(G, "sem", cap)
 
@@ -161,7 +255,8 @@ def first_em_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabel
 
     Scans valence candidates in increasing order and stops at the first
     hit, so it is much cheaper than em_spectrum when only existence or a
-    single witness matters.
+    single witness matters.  A miss is known once the lower half of the
+    interval is exhausted.
     """
     return next(_search(G, "em", cap)[1], None)
 

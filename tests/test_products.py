@@ -143,6 +143,14 @@ def test_mixed_member_keys_are_rejected():
         induced_labeling_from_sem_factors(cyc, members)
 
 
+def test_empty_assignments_name_the_arc_count():
+    cyc = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[0])
+    with pytest.raises(ValueError, match="need one member per arc: 4 arcs, 0 members"):
+        induced_labeling_from_sem_factors(cyc, ArcAssignment(()))
+    with pytest.raises(ValueError, match="need one member per arc: 3 arcs, 0 members"):
+        induced_labeling_from_em_factors(star_loop_labeling(2, 1), ArcAssignment(()))
+
+
 def test_star_loop_labeling_shape_and_valence():
     for n in (1, 2, 3, 5):
         for r in range(1, n + 2):

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemagic import (
     BudgetExceededError,
+    Graph,
+    TotalLabeling,
     complement,
     em_spectrum,
     first_em_labeling,
@@ -46,6 +50,19 @@ FROZEN_SEM = {
     "loop1": [4],
     "digon": [],
 }
+
+
+def _mirror(G: Graph, kind: str) -> int:
+    return 3 * (G.p + G.q + 1) if kind == "em" else 4 * G.p + G.q + 3
+
+
+def _dual(G: Graph, w: TotalLabeling, kind: str) -> TotalLabeling:
+    if kind == "em":
+        return complement(G, w)
+    return TotalLabeling(
+        tuple(G.p + 1 - x for x in w.vertex_labels),
+        tuple(2 * G.p + G.q + 1 - x for x in w.edge_labels),
+    )
 
 
 def test_em_spectra_match_frozen_values():
@@ -94,6 +111,21 @@ def test_complementing_a_witness_achieves_the_mirror_valence():
         assert valence_of(G, complement(G, w)) == 3 * 9 - k
 
 
+def test_sem_spectra_are_dual_symmetric():
+    for name, G in WIDE_CORPUS.items():
+        rep = sem_spectrum(G)
+        mirror = {_mirror(G, "sem") - k for k in rep.achieved}
+        assert mirror == set(rep.achieved), name
+
+
+def test_sem_dual_of_a_witness_achieves_the_mirror_valence():
+    G = mk_star_with_loop(3)
+    rep = sem_spectrum(G)
+    assert len(rep.achieved) == 4
+    for k, w in rep.witnesses.items():
+        assert is_super_edge_magic(G, _dual(G, w, "sem")) == _mirror(G, "sem") - k
+
+
 def test_perfect_flags():
     assert is_perfect_em(mk_cycle(4))
     assert is_perfect_sem(mk_star_with_loop(2))
@@ -136,3 +168,84 @@ def test_star_with_loop_sem_spectra_are_perfect():
         assert len(rep.achieved) == n + 1
         assert list(rep.achieved) == list(rep.interval.values())
         assert rep.achieved[0] == 2 * n + 4
+
+
+# Frozen from the search before it mirrored spectra and bounded partial
+# labelings: neither may change the first witness found at a searched
+# valence.  The K3,3 hit also seeds the `repro s2-k33` labeling.
+FROZEN_FIRST = {
+    ("em", "k33"): (20, (1, 2, 3, 4, 8, 12), (15, 11, 7, 14, 10, 6, 13, 9, 5)),
+    ("em", "k25"): (21, (1, 2, 3, 6, 9, 12, 15), (17, 14, 11, 8, 5, 16, 13, 10, 7, 4)),
+    ("em", "crown33"): (
+        27,
+        (1, 2, 3, 5, 7, 9, 10, 11, 12, 4, 6, 8),
+        (24, 22, 23, 21, 19, 17, 15, 14, 13, 20, 18, 16),
+    ),
+    ("sem", "k33"): None,
+    ("sem", "k25"): None,
+    ("sem", "crown33"): (
+        27,
+        (1, 2, 3, 5, 7, 9, 10, 11, 12, 4, 6, 8),
+        (24, 22, 23, 21, 19, 17, 15, 14, 13, 20, 18, 16),
+    ),
+}
+
+
+def test_first_witnesses_are_frozen():
+    graphs = {
+        "k33": mk_complete_bipartite(3, 3),
+        "k25": mk_complete_bipartite(2, 5),
+        "crown33": mk_crown(3, 3),
+    }
+    for (kind, name), want in FROZEN_FIRST.items():
+        first = first_em_labeling if kind == "em" else first_sem_labeling
+        hit = first(graphs[name], cap=26)
+        got = None if hit is None else (hit[0], hit[1].vertex_labels, hit[1].edge_labels)
+        assert got == want, (kind, name)
+
+
+def test_lower_half_spectrum_witness_is_frozen():
+    # 2 * 25 < 3 * (8 + 8 + 1), so valence 25 of C8 is searched, not mirrored
+    w = em_spectrum(mk_cycle(8)).witnesses[25]
+    assert (w.vertex_labels, w.edge_labels) == (
+        (1, 8, 2, 12, 9, 13, 5, 14),
+        (16, 15, 11, 4, 3, 7, 6, 10),
+    )
+
+
+# Property tests over random multigraphs.  derandomize fixes the examples,
+# so every run checks the same graphs.
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def multigraphs(draw, max_labels: int) -> Graph:
+    """Graphs with at least one edge and p+q <= max_labels; loops and
+    parallel edges allowed, isolated vertices too."""
+    p = draw(st.integers(1, max_labels - 1))
+    vertex = st.integers(1, p)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_labels - p))
+    return Graph(p, tuple(edges))
+
+
+@DETERMINISTIC
+@given(multigraphs(8))
+def test_random_multigraph_spectra_match_naive_enumeration(G):
+    assert list(em_spectrum(G).achieved) == naive_valences(G, "em")
+    assert list(sem_spectrum(G).achieved) == naive_valences(G, "sem")
+
+
+@DETERMINISTIC
+@given(multigraphs(12))
+def test_upper_half_witnesses_are_duals_of_the_lower_half(G):
+    for kind, spectrum, recheck in (
+        ("em", em_spectrum, valence_of),
+        ("sem", sem_spectrum, is_super_edge_magic),
+    ):
+        rep = spectrum(G)
+        c = _mirror(G, kind)
+        assert {c - k for k in rep.achieved} == set(rep.achieved)
+        for k, w in rep.witnesses.items():
+            assert recheck(G, w) == k
+            if 2 * k > c:
+                assert w == _dual(G, rep.witnesses[c - k], kind)
