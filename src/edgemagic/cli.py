@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -36,6 +35,9 @@ from .decomp import (
 )
 from .errors import EdgeMagicError, ParseError
 from .graphs import (
+    Digraph,
+    _construct,
+    _records,
     bipartition,
     format_digraph,
     format_graph,
@@ -43,13 +45,13 @@ from .graphs import (
     mk_crown,
     mk_cycle,
     mk_star_with_loop,
-    parse_digraph,
     parse_graph,
     underlying,
 )
 from .intervals import IntervalReport, em_interval, sem_interval
 from .labelings import (
     TotalLabeling,
+    _labeling,
     format_labeling,
     induced_sums,
     is_super_edge_magic,
@@ -81,20 +83,20 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _digest(path: str) -> str:
+def _load(args: argparse.Namespace, name: str, path: str) -> str:
+    """Read an input file once: the sha256 of its bytes goes into the
+    certificate's inputs under name, and the decoded text to the parser,
+    so the digest is always that of the bytes that were parsed."""
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    args.inputs[name] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8")
 
 
-def _emit(args: argparse.Namespace, inputs: dict[str, str], result: Any, verified: bool) -> None:
+def _emit(args: argparse.Namespace, result: Any, verified: bool) -> None:
     cert = {
         "command": " ".join(args.argv),
-        "inputs": inputs,
+        "inputs": args.inputs,
         "result": result,
         "verified": verified,
     }
@@ -148,63 +150,51 @@ def _labeling_json(f: TotalLabeling) -> dict[str, list[int]]:
     }
 
 
-def _split_combined(text: str) -> tuple[str, str]:
-    """Split a combined digraph+labeling file into its two line families.
-
-    Structure lines start with p or a, labeling lines with v or e; each
-    family is replaced by comment lines in the other's view so parser
-    line numbers keep pointing at the original file.
-    """
-    structure: list[str] = []
-    labeling: list[str] = []
-    for raw in text.splitlines():
-        head = raw.strip().split(None, 1)[0] if raw.strip() else ""
-        structure.append(raw if head in ("p", "a", "", "#") or head.startswith("#") else "#")
-        labeling.append(raw if head in ("v", "e", "", "#") or head.startswith("#") else "#")
-    return "\n".join(structure), "\n".join(labeling)
-
-
-def _read_labeled_digraph(path: str) -> LabeledDigraph:
-    dtext, ltext = _split_combined(_read(path))
-    D = parse_digraph(dtext)
-    f = parse_labeling(ltext, D.p, len(D.arcs))
-    return LabeledDigraph(D, f)
+def _labeled_digraph(text: str) -> LabeledDigraph:
+    """Parse a digraph and its labeling from one file: 'p' and 'a' lines
+    build the digraph, 'v' and 'e' lines label it, in any order."""
+    structure, labels = [], []
+    for record in _records(text, ("p", "a", "v", "e")):
+        (structure if record[1] in ("p", "a") else labels).append(record)
+    D = Digraph(*_construct(structure, "a"))
+    return LabeledDigraph(D, _labeling(labels, D.p, D.q))
 
 
 def _parse_indices(raw: str) -> frozenset[int]:
-    parts = [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
-    if not parts:
-        raise ValueError("empty edge index list")
     try:
-        return frozenset(int(tok) for tok in parts)
+        indices = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"edge indices must be integers: {raw!r}") from None
+    if not indices:
+        raise ValueError("empty edge index list")
+    if len(set(indices)) != len(indices):
+        raise ParseError(f"an edge index is given twice: {raw!r}")
+    return frozenset(indices)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    G = parse_graph(_read(args.graphfile))
-    f = parse_labeling(_read(args.labelingfile), G.p, G.q)
+    G = parse_graph(_load(args, "graphfile", args.graphfile))
+    f = parse_labeling(_load(args, "labelingfile", args.labelingfile), G.p, G.q)
     k = is_super_edge_magic(G, f) if args.kind == "sem" else valence_of(G, f)
-    inputs = {"graphfile": _digest(args.graphfile), "labelingfile": _digest(args.labelingfile)}
     if k is None:
         print("not magic")
-        _emit(args, inputs, {"kind": args.kind, "magic": False}, True)
+        _emit(args, {"kind": args.kind, "magic": False}, True)
         return EXIT_FAIL
     print(f"valence {k}")
-    _emit(args, inputs, {"kind": args.kind, "magic": True, "valence": k}, True)
+    _emit(args, {"kind": args.kind, "magic": True, "valence": k}, True)
     return EXIT_OK
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
-    G = parse_graph(_read(args.graphfile))
+    G = parse_graph(_load(args, "graphfile", args.graphfile))
     rep = sem_interval(G) if args.kind == "sem" else em_interval(G)
     verified = _interval_checks(args.kind, G.p, G.q, rep)
-    _emit(args, {"graphfile": _digest(args.graphfile)}, _interval_json(rep), verified)
+    _emit(args, _interval_json(rep), verified)
     return EXIT_OK if verified else EXIT_FAIL
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    G = parse_graph(_read(args.graphfile))
+    G = parse_graph(_load(args, "graphfile", args.graphfile))
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
     recheck = is_super_edge_magic if args.kind == "sem" else valence_of
     verified = all(recheck(G, w) == k for k, w in rep.witnesses.items())
@@ -217,26 +207,19 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "achieved": list(rep.achieved),
         "perfect": rep.perfect,
     }
-    _emit(args, {"graphfile": _digest(args.graphfile)}, result, verified)
+    _emit(args, result, verified)
     return EXIT_OK if verified else EXIT_FAIL
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    outer = _read_labeled_digraph(args.d)
-    members = [_read_labeled_digraph(path) for path in args.member]
+    outer = _labeled_digraph(_load(args, "d", args.d))
+    members = [_labeled_digraph(_load(args, f"member{i}", m)) for i, m in enumerate(args.member, 1)]
     arcs = len(outer.digraph.arcs)
     if args.assign:
         picks: dict[int, LabeledDigraph] = {}
-        for ln, raw in enumerate(_read(args.assign).splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                arc, member = (int(tok) for tok in line.split())
-            except ValueError:
-                raise ValueError(f"assign line {ln}: expected '<arc> <member>'") from None
-            if not 1 <= arc <= arcs or not 1 <= member <= len(members):
-                raise ValueError(f"assign line {ln}: index out of range")
+        for ln, _, (arc, member) in _records(_load(args, "assign", args.assign), ()):
+            if not (0 < arc <= arcs and 0 < member <= len(members)):
+                raise ParseError("arc or member index out of range", ln)
             if arc in picks:
                 raise ParseError(f"assign file names arc {arc} twice", ln)
             picks[arc] = members[member - 1]
@@ -264,10 +247,6 @@ def _cmd_product(args: argparse.Namespace) -> int:
     product_graph = underlying(ind.product)
     verified_valence = valence_of(product_graph, ind.labeling)
     verified = verified_valence == ind.valence == predicted
-    inputs = {"d": _digest(args.d)}
-    inputs.update({f"member{i}": _digest(path) for i, path in enumerate(args.member, 1)})
-    if args.assign:
-        inputs["assign"] = _digest(args.assign)
     result = {
         "mode": args.mode,
         "digraph": format_digraph(ind.product),
@@ -276,12 +255,12 @@ def _cmd_product(args: argparse.Namespace) -> int:
         "verified_valence": verified_valence,
         "super": is_super_edge_magic(product_graph, ind.labeling) is not None,
     }
-    _emit(args, inputs, result, verified)
+    _emit(args, result, verified)
     return EXIT_OK if verified else EXIT_FAIL
 
 
 def _cmd_s2n(args: argparse.Namespace) -> int:
-    G = parse_graph(_read(args.graph))
+    G = parse_graph(_load(args, "graph", args.graph))
     bip = bipartition(G)
     if bip is None:
         raise ValueError("graph is not bipartite")
@@ -297,21 +276,19 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
         "roles": [list(role) for role in s.roles],
         "iso_verified": verified,
     }
-    inputs = {"graph": _digest(args.graph)}
     if args.labeling:
-        f = parse_labeling(_read(args.labeling), G.p, G.q)
-        inputs["labeling"] = _digest(args.labeling)
+        f = parse_labeling(_load(args, "labeling", args.labeling), G.p, G.q)
         _, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
         verified = verified and valence_of(s.graph, lab) == val
         result["labeling"] = _labeling_json(lab)
         result["valence"] = val
         result["super"] = is_super_edge_magic(s.graph, lab) is not None
-    _emit(args, inputs, result, verified)
+    _emit(args, result, verified)
     return EXIT_OK if verified else EXIT_FAIL
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    G = parse_graph(_read(args.graph))
+    G = parse_graph(_load(args, "graph", args.graph))
     bip = bipartition(G)
     if bip is None:
         raise ValueError("graph is not bipartite")
@@ -329,7 +306,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(json.dumps(line, sort_keys=True))
     verified = good == count
     result = {"splits": count, "verified_splits": good, "n": args.n}
-    _emit(args, {"graph": _digest(args.graph)}, result, verified)
+    _emit(args, result, verified)
     return EXIT_OK if verified else EXIT_FAIL
 
 
@@ -410,7 +387,7 @@ _REPROS = {
 
 def _cmd_repro(args: argparse.Namespace) -> int:
     result, ok = _REPROS[args.example_id]()
-    _emit(args, {}, result, ok)
+    _emit(args, result, ok)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -477,6 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(raw)
     args.argv = ["edgemagic", *raw]
+    args.inputs = {}
     try:
         return args.func(args)
     except (EdgeMagicError, OSError, ValueError) as exc:

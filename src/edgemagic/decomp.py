@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import (
+    _MAX_VERTICES,
     Bipartition,
     Digraph,
     Graph,
@@ -157,6 +158,8 @@ def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
     """Construct the split doubling of G for the given split and copy count."""
     if n < 1:
         raise ValueError("need at least one copy")
+    if G.p * (n + 1) > _MAX_VERTICES:
+        raise ValueError(f"the doubling would have {G.p * (n + 1)} vertices, above {_MAX_VERTICES}")
     if not G.is_simple():
         raise ValueError("doubling needs a simple graph")
     if d.base != G:

@@ -6,12 +6,13 @@ index in this package (vertices, edges, arcs) is 1-based.
 
 The text format is one construct per file: a line ``p <int>`` followed by one
 ``e <u> <v>`` line per edge (``a <u> <v>`` for digraph arcs).  Lines starting
-with ``#`` and blank lines are ignored.
+with ``#`` and blank lines are ignored, and any other unknown line is refused;
+``_records`` reads this grammar for labelings and the CLI's files too.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -221,54 +222,66 @@ def edges_match_under(src: Graph, dst: Graph, vertex_map: Mapping[int, int]) -> 
     return mapped == Counter(dst.edges)
 
 
-def _parse_construct(text: str, directive: str):
-    p: int | None = None
-    pairs: list[tuple[int, int]] = []
+# The most vertices a 'p' header or a split doubling may ask for; larger
+# counts would only size lists until memory runs out.
+_MAX_VERTICES = 10**6
+
+
+def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tuple[int, ...]]]:
+    """The line grammar of every input file: yields (line number from 1,
+    directive, integer fields) for each line that is not blank or a '#'
+    comment.  The directive is one of heads, or "" when heads is empty;
+    'p' takes one field, the vertex count, refused above _MAX_VERTICES
+    before anything is sized by it, and every other directive two.
+    """
+    allowed = frozenset(heads)
+    width = 3 if heads else 2  # tokens on a line other than 'p'
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        head = parts[0] if heads else ""
+        if heads and head not in allowed:
+            raise ParseError(f"unknown directive {head!r} (expected {'/'.join(heads)})", ln)
+        if len(parts) != (2 if head == "p" else width):
+            raise ParseError(f"expected {1 if head == 'p' else 2} integer field(s)", ln)
+        try:
+            values = (int(parts[1]),) if head == "p" else (int(parts[-2]), int(parts[-1]))
+        except ValueError:
+            raise ParseError("fields must be integers", ln) from None
+        if head == "p" and not 0 <= values[0] <= _MAX_VERTICES:
+            raise ParseError(f"vertex count must lie in 0..{_MAX_VERTICES}", ln)
+        yield ln, head, values
+
+
+def _construct(records: Iterable[tuple[int, str, tuple[int, ...]]], directive: str):
+    """The vertex count and endpoint pairs of 'p' and directive records."""
+    p: int | None = None
+    pairs: list[tuple[int, ...]] = []
+    for ln, head, fields in records:
+        if head == "p":
             if p is not None:
                 raise ParseError("duplicate p line", ln)
-            if len(parts) != 2:
-                raise ParseError("expected 'p <count>'", ln)
-            try:
-                p = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", ln) from None
-            if p < 0:
-                raise ParseError("vertex count must be nonnegative", ln)
-        elif parts[0] == directive:
-            if p is None:
-                raise ParseError(f"{directive!r} line before the p line", ln)
-            if len(parts) != 3:
-                raise ParseError(f"expected '{directive} <u> <v>'", ln)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("endpoints must be integers", ln) from None
-            if not (1 <= u <= p and 1 <= v <= p):
-                raise ParseError(f"endpoint out of range 1..{p}", ln)
-            pairs.append((u, v))
+            p = fields[0]
+        elif p is None:
+            raise ParseError(f"{directive!r} line before the p line", ln)
+        elif 0 < fields[0] <= p and 0 < fields[1] <= p:
+            pairs.append(fields)
         else:
-            raise ParseError(f"unknown directive {parts[0]!r} (expected 'p' or {directive!r})", ln)
+            raise ParseError(f"endpoint out of range 1..{p}", ln)
     if p is None:
         raise ParseError("missing 'p' line")
-    return p, tuple(pairs)
+    return p, pairs
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the undirected text format ('p' line, then 'e <u> <v>' lines)."""
-    p, pairs = _parse_construct(text, "e")
-    return Graph(p, pairs)
+    return Graph(*_construct(_records(text, ("p", "e")), "e"))
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the directed text format ('p' line, then 'a <u> <v>' lines)."""
-    p, pairs = _parse_construct(text, "a")
-    return Digraph(p, pairs)
+    return Digraph(*_construct(_records(text, ("p", "a")), "a"))
 
 
 def format_graph(G: Graph) -> str:

@@ -11,11 +11,11 @@ The text format is one labeling per file: ``v <vertex> <label>`` and
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidLabelingError, ParseError
-from .graphs import Graph
+from .graphs import Graph, _records
 
 __all__ = [
     "TotalLabeling",
@@ -175,40 +175,31 @@ def transport(src: Graph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: 
     return TotalLabeling(tuple(vl), tuple(el))
 
 
+def _labeling(records: Iterable[tuple[int, str, tuple[int, ...]]], p: int, q: int) -> TotalLabeling:
+    """The labeling spelled by 'v' and 'e' records for p vertices and q edges."""
+    vl: dict[int, int] = {}
+    el: dict[int, int] = {}
+    for ln, head, (idx, lab) in records:
+        bound, store = (p, vl) if head == "v" else (q, el)
+        if not 0 < idx <= bound:
+            raise ParseError(f"index {idx} out of range 1..{bound}", ln)
+        if idx in store:
+            raise ParseError(f"duplicate assignment for {head} {idx}", ln)
+        store[idx] = lab
+    if len(vl) != p or len(el) != q:
+        raise ParseError(f"labeling must cover all {p} vertices and all {q} edges")
+    if sorted([*vl.values(), *el.values()]) != list(range(1, p + q + 1)):
+        raise ParseError(f"labels are not a bijection onto 1..{p + q}")
+    return TotalLabeling(tuple(vl[i] for i in range(1, p + 1)), tuple(el[i] for i in range(1, q + 1)))
+
+
 def parse_labeling(text: str, p: int, q: int) -> TotalLabeling:
     """Parse a labeling file for a graph with p vertices and q edges.
 
     Every vertex and edge index must be assigned exactly once and the labels
     must form a bijection onto 1..p+q.
     """
-    vl: dict[int, int] = {}
-    el: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("v", "e"):
-            raise ParseError("expected 'v <vertex> <label>' or 'e <edge-index> <label>'", ln)
-        try:
-            idx, lab = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("indices and labels must be integers", ln) from None
-        bound, store = (p, vl) if parts[0] == "v" else (q, el)
-        if not 1 <= idx <= bound:
-            raise ParseError(f"index {idx} out of range 1..{bound}", ln)
-        if idx in store:
-            raise ParseError(f"duplicate assignment for {parts[0]} {idx}", ln)
-        store[idx] = lab
-    if sorted(vl) != list(range(1, p + 1)):
-        raise ParseError(f"labeling must cover all {p} vertices")
-    if sorted(el) != list(range(1, q + 1)):
-        raise ParseError(f"labeling must cover all {q} edges")
-    f = TotalLabeling(tuple(vl[i] for i in range(1, p + 1)), tuple(el[i] for i in range(1, q + 1)))
-    total = p + q
-    if sorted(f.vertex_labels + f.edge_labels) != list(range(1, total + 1)):
-        raise ParseError(f"labels are not a bijection onto 1..{total}")
-    return f
+    return _labeling(_records(text, ("v", "e")), p, q)
 
 
 def format_labeling(f: TotalLabeling) -> str:

@@ -1,6 +1,7 @@
 """End to end command line tests: exit codes, certificates, file formats."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -240,6 +241,33 @@ def test_product_assign_errors(files, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (CYC_D_TEXT + "x garbage line\n", 14),
+        (CYC_D_TEXT.replace("e 4 8", "e 5 8"), 13),
+        ("# labels first\n" + ALPHA_TEXT + "p 4\na 1 2\na 2 3\na 3 4\na 4 9\n", 14),
+    ],
+    ids=["unknown-directive", "edge-index-out-of-range", "arc-out-of-range-after-labels"],
+)
+def test_product_refuses_bad_lines_in_combined_files(files, capsys, text, line):
+    code = main(["product", "--mode", "spk", "--d", files("cyc.d", text),
+                 "--member", files("star.d", STAR_D_TEXT)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}:") and len(err.splitlines()) == 1
+
+
+def test_hostile_sizes_are_refused_before_allocation(files, capsys):
+    huge = files("huge.g", "p 1000000000000000000\ne 1 2\n")
+    assert main(["interval", "--kind", "em", huge]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: vertex count")
+    c4 = files("c4.g", C4_TEXT)
+    assert main(["s2n", "--graph", c4, "--h1", "1,3", "--n", "1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vertices" in err
+
+
 def test_s2n_builds_and_verifies(files, capsys):
     k33 = files("k33.g", format_graph(mk_complete_bipartite(3, 3)))
     code = main(["s2n", "--graph", k33, "--h1", "2,3,4,6,7,8"])
@@ -284,6 +312,8 @@ def test_s2n_input_errors(files, capsys):
     assert main(["s2n", "--graph", c4, "--h1", "1,9"]) == 2
     assert main(["s2n", "--graph", c4, "--h1", "one"]) == 2
     assert main(["s2n", "--graph", c4, "--h1", " "]) == 2
+    assert main(["s2n", "--graph", c4, "--h1", "1,1,2"]) == 2
+    assert "twice" in capsys.readouterr().err
 
 
 def test_decompose_streams_verdicts(files, capsys):
@@ -349,3 +379,125 @@ def test_usage_errors_exit_with_code_two():
     with pytest.raises(SystemExit) as exc:
         main(["interval", "x.g"])  # --kind is required
     assert exc.value.code == 2
+
+
+# Byte-stable certificates.  Each command runs from the directory of its
+# input files and names them relatively, so the command echo is the same
+# on every machine.  The sha256 of each stdout (and of the witnesses
+# files) was recorded from a reference run, so a change meant to leave the
+# output alone is checked byte for byte.
+GOLDEN_FILES = {
+    "c4.g": C4_TEXT,
+    "alpha.lab": ALPHA_TEXT,
+    "p4.g": "p 4\ne 1 2\ne 2 3\ne 3 4\n",
+    "cyc.d": CYC_D_TEXT,
+    "star.d": STAR_D_TEXT,
+    "assign.txt": "# arc member\n1 1\n2 2\n\n3 1\n4 2\n",
+    "k33.g": format_graph(mk_complete_bipartite(3, 3)),
+    "k33.lab": "v 1 1\nv 2 2\nv 3 3\nv 4 4\nv 5 8\nv 6 12\n"
+    "e 1 15\ne 2 11\ne 3 7\ne 4 14\ne 5 10\ne 6 6\ne 7 13\ne 8 9\ne 9 5\n",
+}
+GOLDEN = {  # name: (argv, exit code, stdout sha256, {written file: sha256})
+    "verify": (
+        ["verify", "c4.g", "alpha.lab"],
+        0,
+        "fe8ea41158dfc654b50a01dd5de3070c5eef3e8efe75ca0adb4bfe01b10560f7",
+        {},
+    ),
+    "verify-sem": (
+        ["verify", "--kind", "sem", "c4.g", "alpha.lab"],
+        1,
+        "e1c6965231eb35b21e545ec50009164f20815b34f6ef7be86b4c99c0a3843fdc",
+        {},
+    ),
+    "interval-em": (
+        ["interval", "--kind", "em", "c4.g"],
+        0,
+        "7bfe3275623fd01b4fb4d87f6bb90ec57bc0b25b4e708a669ad99faa6081f9cf",
+        {},
+    ),
+    "interval-sem": (
+        ["interval", "--kind", "sem", "c4.g"],
+        0,
+        "3ed75197d1fe86aa13960ce1625817cd9d797d53ad10d1cb8d686034c20f1d92",
+        {},
+    ),
+    "spectrum-em": (
+        ["spectrum", "--kind", "em", "--witnesses", "wit-em.json", "c4.g"],
+        0,
+        "fa1229986f77e41c47cd2ecf47ddf7b254d0f8a96fa5e67eb787167c0b29e1d1",
+        {"wit-em.json": "506083793cf74e8416757cb471203a7a49aadc6b3c3b3bfbe06781a4dc09fb2b"},
+    ),
+    "spectrum-sem": (
+        ["spectrum", "--kind", "sem", "--witnesses", "wit-sem.json", "p4.g"],
+        0,
+        "01e0eae0c93faa5abea57b5292098ea87648b97a447a10cd5d6e5a7fd455d2dc",
+        {"wit-sem.json": "5c4a351d67714ff7db227b3f8594acb490e60ccda5c19a62658f5f7e1aa861f6"},
+    ),
+    "product-spk": (
+        ["product", "--mode", "spk", "--d", "cyc.d", "--member", "star.d", "--member", "star.d",
+         "--assign", "assign.txt"],
+        0,
+        "25688f6860a34fe5249c124fdbab35afebbed2afbc43fc3bebdb7c4292b25942",
+        {},
+    ),
+    "product-tq": (
+        ["product", "--mode", "tq", "--d", "star.d", "--member", "cyc.d"],
+        0,
+        "36faf5dac3593f8eb959b288c65e1474102ad3d04dde03781ad2a4982ad073ff",
+        {},
+    ),
+    "s2n": (
+        ["s2n", "--graph", "k33.g", "--h1", "2,3,4,6,7,8", "--n", "2", "--labeling", "k33.lab",
+         "--center", "2"],
+        0,
+        "b174107583f1eb223bee5211f80b9f4a135772ad69e9549402a36c160778852b",
+        {},
+    ),
+    "decompose": (
+        ["decompose", "--graph", "c4.g", "--enumerate", "--n", "2"],
+        0,
+        "6968396493dc02ee81402d1277c9e8039df0ef34662fb46ec4be7af7fb3172ae",
+        {},
+    ),
+    "repro-c4-spectrum": (
+        ["repro", "c4-spectrum"],
+        0,
+        "9947a6fa58278e16b166d3f7c048638a9525ecfeda54e5300a1676f410540f62",
+        {},
+    ),
+    "repro-c4-crown-20": (
+        ["repro", "c4-crown-20"],
+        0,
+        "ec24d0609a00162801499817b73d361391436944045d4c49642fded41c8c49e0",
+        {},
+    ),
+    "repro-k1nl-perfect": (
+        ["repro", "k1nl-perfect"],
+        0,
+        "dc96c99c8b7d55888faeab70a3af8f9904e1aec36cf075d79c1147b67e5c2e97",
+        {},
+    ),
+    "repro-s2-k33": (
+        ["repro", "s2-k33"],
+        0,
+        "2e59c79d84760d44a8d48c1807af3d725e76da8354ba316dfa2e4abafee68a34",
+        {},
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_certificates_stay_byte_identical(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for fname, text in GOLDEN_FILES.items():
+        (tmp_path / fname).write_text(text, encoding="utf-8")
+    argv, code, stdout_sha, written = GOLDEN[name]
+    assert main(argv) == code
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+    for fname, sha in written.items():
+        assert _sha256((tmp_path / fname).read_bytes()) == sha

@@ -169,6 +169,10 @@ def test_build_input_errors():
         build_s2n(c4, bipartition(c4), d, 1)
     with pytest.raises(ValueError):
         build_s2n(P3, Bipartition({1, 2}, {3}), d, 1)
+    # refused before any edge is built: 3 * (333333 + 1) is just above 10**6
+    for n in (333333, 10**9):
+        with pytest.raises(ValueError, match="vertices"):
+            build_s2n(P3, bip, d, n)
 
 
 def test_product_isomorphism_on_small_suite():

@@ -171,3 +171,11 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p 3\na 1 2\n")
     with pytest.raises(ParseError):
         parse_digraph("p 3\ne 1 2\n")
+    # vertex counts above 10**6 are refused at their header, before any use
+    for text in ("p 1000001\n", "# huge\np 1000000000000000000\ne 1 2\n", "p -1\n"):
+        with pytest.raises(ParseError, match="vertex count") as err:
+            parse_graph(text)
+        assert err.value.line == text.count("\n", 0, text.index("p")) + 1
+    with pytest.raises(ParseError) as err:
+        parse_digraph("p 3\n\n# comment\na 1 2\nv 1 1\n")
+    assert err.value.line == 5
