@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .decomp import (
     Decomposition,
@@ -83,14 +83,18 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _load(args: argparse.Namespace, name: str, path: str) -> str:
-    """Read an input file once: the sha256 of its bytes goes into the
-    certificate's inputs under name, and the decoded text to the parser,
-    so the digest is always that of the bytes that were parsed."""
+def _load(args: argparse.Namespace, name: str, path: str, parse: Callable[..., Any], *extra: Any) -> Any:
+    """Read an input file once and return parse(text, *extra): the sha256
+    of its bytes goes into the certificate's inputs under name, so the
+    digest is always that of the bytes that were parsed.  A parse error,
+    or text that is not UTF-8, names the file as it was given."""
     with open(path, "rb") as fh:
         data = fh.read()
     args.inputs[name] = "sha256:" + hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+    try:
+        return parse(data.decode("utf-8"), *extra)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _emit(args: argparse.Namespace, result: Any, verified: bool) -> None:
@@ -160,6 +164,20 @@ def _labeled_digraph(text: str) -> LabeledDigraph:
     return LabeledDigraph(D, _labeling(labels, D.p, D.q))
 
 
+def _assignment(text: str, members: list[LabeledDigraph], arcs: int) -> ArcAssignment:
+    """The members named by the '<arc> <member>' lines of an assign file."""
+    picks: dict[int, LabeledDigraph] = {}
+    for ln, _, (arc, member) in _records(text, ()):
+        if not (0 < arc <= arcs and 0 < member <= len(members)):
+            raise ParseError("arc or member index out of range", ln)
+        if arc in picks:
+            raise ParseError(f"assign file names arc {arc} twice", ln)
+        picks[arc] = members[member - 1]
+    if len(picks) != arcs:
+        raise ValueError("assign file leaves some arcs without a member")
+    return ArcAssignment(tuple(picks[a] for a in range(1, arcs + 1)))
+
+
 def _parse_indices(raw: str) -> frozenset[int]:
     try:
         indices = [int(tok) for tok in raw.replace(",", " ").split()]
@@ -173,8 +191,8 @@ def _parse_indices(raw: str) -> frozenset[int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    G = parse_graph(_load(args, "graphfile", args.graphfile))
-    f = parse_labeling(_load(args, "labelingfile", args.labelingfile), G.p, G.q)
+    G = _load(args, "graphfile", args.graphfile, parse_graph)
+    f = _load(args, "labelingfile", args.labelingfile, parse_labeling, G.p, G.q)
     k = is_super_edge_magic(G, f) if args.kind == "sem" else valence_of(G, f)
     if k is None:
         print("not magic")
@@ -186,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
-    G = parse_graph(_load(args, "graphfile", args.graphfile))
+    G = _load(args, "graphfile", args.graphfile, parse_graph)
     rep = sem_interval(G) if args.kind == "sem" else em_interval(G)
     verified = _interval_checks(args.kind, G.p, G.q, rep)
     _emit(args, _interval_json(rep), verified)
@@ -194,7 +212,7 @@ def _cmd_interval(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    G = parse_graph(_load(args, "graphfile", args.graphfile))
+    G = _load(args, "graphfile", args.graphfile, parse_graph)
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
     recheck = is_super_edge_magic if args.kind == "sem" else valence_of
     verified = all(recheck(G, w) == k for k, w in rep.witnesses.items())
@@ -212,20 +230,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    outer = _labeled_digraph(_load(args, "d", args.d))
-    members = [_labeled_digraph(_load(args, f"member{i}", m)) for i, m in enumerate(args.member, 1)]
+    outer = _load(args, "d", args.d, _labeled_digraph)
+    members = [_load(args, f"member{i}", m, _labeled_digraph) for i, m in enumerate(args.member, 1)]
     arcs = len(outer.digraph.arcs)
     if args.assign:
-        picks: dict[int, LabeledDigraph] = {}
-        for ln, _, (arc, member) in _records(_load(args, "assign", args.assign), ()):
-            if not (0 < arc <= arcs and 0 < member <= len(members)):
-                raise ParseError("arc or member index out of range", ln)
-            if arc in picks:
-                raise ParseError(f"assign file names arc {arc} twice", ln)
-            picks[arc] = members[member - 1]
-        if len(picks) != arcs:
-            raise ValueError("assign file leaves some arcs without a member")
-        assignment = ArcAssignment(tuple(picks[a] for a in range(1, arcs + 1)))
+        assignment = _load(args, "assign", args.assign, _assignment, members, arcs)
     elif len(members) == 1:
         assignment = ArcAssignment.constant(members[0], arcs)
     else:
@@ -260,7 +269,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_s2n(args: argparse.Namespace) -> int:
-    G = parse_graph(_load(args, "graph", args.graph))
+    G = _load(args, "graph", args.graph, parse_graph)
     bip = bipartition(G)
     if bip is None:
         raise ValueError("graph is not bipartite")
@@ -277,7 +286,7 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
         "iso_verified": verified,
     }
     if args.labeling:
-        f = parse_labeling(_load(args, "labeling", args.labeling), G.p, G.q)
+        f = _load(args, "labeling", args.labeling, parse_labeling, G.p, G.q)
         _, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
         verified = verified and valence_of(s.graph, lab) == val
         result["labeling"] = _labeling_json(lab)
@@ -288,7 +297,7 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    G = parse_graph(_load(args, "graph", args.graph))
+    G = _load(args, "graph", args.graph, parse_graph)
     bip = bipartition(G)
     if bip is None:
         raise ValueError("graph is not bipartite")

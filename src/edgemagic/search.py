@@ -88,7 +88,9 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
     bound's weights for each depth, largest first.  The unplaced degrees
     are a slice of the order; zero degrees add nothing and are left out.
     Once every vertex of nonzero degree is placed, every edge is forced
-    and there is nothing left to bound.
+    and there is nothing left to bound or to search: the isolated
+    vertices, last in the order, take the free labels least first, which
+    is what the search would give them, so they add no recursion depth.
     """
     p, q = G.p, G.q
     total = p + q
@@ -119,8 +121,6 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
 
         def completable(i: int, known: int) -> bool:
             # known: sum of deg(v) * f(v) over placed v plus the forced edge labels
-            if i >= live:
-                return True
             w = weights[i]
             rest = q * k - known
             left = list(compress(labels, free))
@@ -131,7 +131,8 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
             return sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left)))
 
         def place(i: int, known: int) -> bool:
-            if i == p:
+            if i == live:
+                vlab.update(zip(order[live:], compress(labels, free)))
                 return True
             if not completable(i, known):
                 return False

@@ -146,8 +146,9 @@ def test_spectrum_writes_no_witnesses_when_the_recheck_fails(files, capsys, tmp_
 
 
 def test_internal_faults_exit_with_code_three(files, capsys):
-    # 1098 isolated vertices drive the backtracking past the recursion limit
-    deep = files("deep.g", "p 1100\ne 1 2\n")
+    # the search recurses once per vertex of positive degree, so the
+    # 1100 vertices of K1,1099 drive it past the recursion limit
+    deep = files("deep.g", format_graph(mk_complete_bipartite(1, 1099)))
     code = main(["spectrum", "--kind", "em", "--cap", "5000", deep])
     assert code == 3
     err = capsys.readouterr().err
@@ -251,17 +252,34 @@ def test_product_assign_errors(files, capsys):
     ids=["unknown-directive", "edge-index-out-of-range", "arc-out-of-range-after-labels"],
 )
 def test_product_refuses_bad_lines_in_combined_files(files, capsys, text, line):
-    code = main(["product", "--mode", "spk", "--d", files("cyc.d", text),
+    bad = files("cyc.d", text)
+    code = main(["product", "--mode", "spk", "--d", bad,
                  "--member", files("star.d", STAR_D_TEXT)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith(f"error: line {line}:") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad}: line {line}:") and len(err.splitlines()) == 1
+
+
+def test_parse_errors_name_the_file_among_four(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    texts = {"A.d": CYC_D_TEXT, "B.d": STAR_D_TEXT, "C.d": STAR_D_TEXT + "x junk\n",
+             "D.txt": "1 1\n2 2\n3 1\n4 2\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code = main(["product", "--mode", "spk", "--d", "A.d", "--member", "B.d", "--member", "C.d",
+                 "--assign", "D.txt"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: C.d: line 8: unknown directive 'x' (expected p/a/v/e)\n"
+    (tmp_path / "bad.g").write_bytes(b"p 2\ne 1 2\n\xff\n")
+    assert main(["interval", "--kind", "em", "bad.g"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad.g: 'utf-8' codec can't decode")
 
 
 def test_hostile_sizes_are_refused_before_allocation(files, capsys):
     huge = files("huge.g", "p 1000000000000000000\ne 1 2\n")
     assert main(["interval", "--kind", "em", huge]) == 2
-    assert capsys.readouterr().err.startswith("error: line 1: vertex count")
+    assert capsys.readouterr().err.startswith(f"error: {huge}: line 1: vertex count")
     c4 = files("c4.g", C4_TEXT)
     assert main(["s2n", "--graph", c4, "--h1", "1,3", "--n", "1000000000"]) == 2
     err = capsys.readouterr().err
@@ -458,6 +476,19 @@ GOLDEN = {  # name: (argv, exit code, stdout sha256, {written file: sha256})
         ["decompose", "--graph", "c4.g", "--enumerate", "--n", "2"],
         0,
         "6968396493dc02ee81402d1277c9e8039df0ef34662fb46ec4be7af7fb3172ae",
+        {},
+    ),
+    "s2n-p4": (
+        ["s2n", "--graph", "p4.g", "--h1", "1,3", "--n", "2"],
+        0,
+        "93533fd1f79de2aa704c7fc3290885e12b0c20a0826b3d19872030d9146f5cfa",
+        {},
+    ),
+    "s2n-c4-labeling": (
+        ["s2n", "--graph", "c4.g", "--h1", "1,2", "--n", "3", "--labeling", "alpha.lab",
+         "--center", "3"],
+        0,
+        "e556fad70f2432b3fb9f029644a9ab6314b5a506a3e6baa6c631bc3147c2a1e3",
         {},
     ),
     "repro-c4-spectrum": (

@@ -1,6 +1,9 @@
 """Edge splits, split doublings, the product isomorphism, obstruction reports."""
 from __future__ import annotations
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
 from edgemagic import (
@@ -377,3 +380,45 @@ def test_report_rejects_malformed_roles_and_bases():
         obstruction_report(s.graph, s.roles, Graph(2, ((1, 2), (1, 2))), 1)
     with pytest.raises(ValueError):
         obstruction_report(s.graph, s.roles, P3, 0)
+
+
+# Frozen doublings and reports.  The sha256 digests were recorded from a
+# reference run, so any change to the edge order, the roles, the offsets
+# or to a report field (reason text included) shows up here.
+FROZEN_DOUBLINGS = (56, "be4f4683a6af7450312a5240bfe577b7c1bd51251e987449e4649d261c7485ce")
+FROZEN_REPORTS = (1694, "a8e2a3f6353d410fece8cf8a5e7d0795c37f36d8fa8f0670ee3c6315e27120d6")
+
+
+def _candidates(s):
+    """The true doubling at caps 16 and 6, its base level alone, each
+    one-edge drop and repeat, and at n = 1 each one-edge addition."""
+    E = s.graph.edges
+    yield E, 16
+    yield E, 6
+    yield E[: s.base.q], 16
+    for i in range(len(E)):
+        yield E[:i] + E[i + 1:], 16
+        yield E + (E[i],), 16
+    if s.n == 1:
+        for u in range(1, s.graph.p + 1):
+            for v in range(u + 1, s.graph.p + 1):
+                if (u, v) not in E:
+                    yield E + ((u, v),), 16
+
+
+def test_doublings_and_reports_are_frozen():
+    doublings, reports = hashlib.sha256(), hashlib.sha256()
+    counts = [0, 0]
+    for G in (P3, P4, mk_cycle(4), mk_complete_bipartite(1, 3)):
+        bip = bipartition(G)
+        for n in (1, 2):
+            for d in enumerate_2_decompositions(G):
+                s = build_s2n(G, bip, d, n)
+                doublings.update(repr((s.graph.p, s.graph.edges, s.roles, s.offsets)).encode())
+                counts[0] += 1
+                for edges, cap in _candidates(s):
+                    rep = obstruction_report(Graph(s.graph.p, edges), s.roles, G, n, cap)
+                    reports.update(repr(astuple(rep)).encode())
+                    counts[1] += 1
+    assert (counts[0], doublings.hexdigest()) == FROZEN_DOUBLINGS
+    assert (counts[1], reports.hexdigest()) == FROZEN_REPORTS

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemagic import (
     Graph,
@@ -133,3 +135,36 @@ def test_parse_labeling_round_trip_and_errors():
         parse_labeling("v 1 1\nv 1 2\n", 4, 4)
     with pytest.raises(ParseError):
         parse_labeling("v 1 1\nv 2 2\nv 3 3\nv 4 4\ne 1 5\ne 2 6\ne 3 7\n", 4, 4)
+
+
+# derandomize fixes the examples, so every run checks the same inputs.
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """A graph with distinct endpoint pairs (loops allowed), a total
+    labeling of it, and a vertex bijection onto a copy whose edge list is
+    renamed along the bijection and listed in another order."""
+    p = draw(st.integers(1, 7))
+    vertex = st.integers(1, p)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=10, unique_by=lambda e: frozenset(e)))
+    src = Graph(p, tuple(pairs))
+    labels = draw(st.permutations(range(1, p + src.q + 1)))
+    f = TotalLabeling(tuple(labels[:p]), tuple(labels[p:]))
+    image = draw(st.permutations(range(1, p + 1)))
+    vertex_map = {v: image[v - 1] for v in range(1, p + 1)}
+    order = draw(st.permutations(src.edges))
+    dst = Graph(p, tuple((vertex_map[u], vertex_map[v]) for u, v in order))
+    return src, f, vertex_map, dst
+
+
+@DETERMINISTIC
+@given(relabeled_graphs())
+def test_transport_there_and_back_is_the_identity(case):
+    src, f, vertex_map, dst = case
+    g = transport(src, f, vertex_map, dst)
+    assert all(g.vertex_labels[vertex_map[v] - 1] == f.vertex_labels[v - 1] for v in vertex_map)
+    assert valence_of(dst, g) == valence_of(src, f)
+    back = {w: v for v, w in vertex_map.items()}
+    assert transport(dst, g, back, src) == f

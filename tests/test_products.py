@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemagic import (
     ArcAssignment,
@@ -16,6 +18,7 @@ from edgemagic import (
     directed_cycle_order,
     edges_match_under,
     em_factor_key,
+    em_spectrum,
     extend_vertex_labeling,
     induced_labeling_from_em_factors,
     induced_labeling_from_sem_factors,
@@ -314,3 +317,52 @@ def test_star_outer_extremes_bracket_the_cycle_outer_block():
             block = [(n + 1) * (v - 2) + r + 1 for r in range(1, n + 2)]
             assert low < min(block)
             assert max(block) < high
+
+
+
+# Property tests of both closed-form valences over random factor keys.
+# derandomize fixes the examples, so every run checks the same inputs.
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# (m, valence) -> an edge magic labeling of the m-cycle, m = 3..5
+CYCLE_WITNESSES = {
+    (m, k): w for m in (3, 4, 5) for k, w in em_spectrum(mk_cycle(m)).witnesses.items()
+}
+
+
+def _reversed_some(draw, D: Digraph) -> Digraph:
+    """D with a random subset of its arcs reversed: same underlying graph."""
+    flips = draw(st.lists(st.booleans(), min_size=D.q, max_size=D.q))
+    return Digraph(D.p, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(D.arcs, flips)))
+
+
+@DETERMINISTIC
+@given(st.sampled_from(sorted(CYCLE_WITNESSES)), st.integers(1, 3), st.data())
+def test_star_member_valence_formula_over_random_keys(cycle, n, data):
+    # outer: an edge magic cycle; members: looped stars of key (n+1, r+1),
+    # each arc with its own orientation of the spokes
+    (m, v), r = cycle, data.draw(st.integers(1, n + 1))
+    outer = LabeledDigraph(_reversed_some(data.draw, orient_cycle(m)), CYCLE_WITNESSES[cycle])
+    star = star_loop_labeling(n, r)
+    members = tuple(
+        LabeledDigraph(_reversed_some(data.draw, star.digraph), star.labeling) for _ in range(m)
+    )
+    ind = induced_labeling_from_sem_factors(outer, ArcAssignment(members))
+    expected = (n + 1) * (v - 3) + (r + 1) + (n + 1)
+    assert ind.valence == expected == valence_of(underlying(ind.product), ind.labeling)
+
+
+@DETERMINISTIC
+@given(st.integers(1, 3), st.sampled_from(sorted(CYCLE_WITNESSES)), st.data())
+def test_cycle_member_valence_formula_over_random_keys(n, cycle, data):
+    # outer: a super edge magic looped star; members: edge magic cycles of
+    # key (m, k, vertex label set), each arc with its own orientation
+    (m, k), r = cycle, data.draw(st.integers(1, n + 1))
+    outer = star_loop_labeling(n, r)
+    members = tuple(
+        LabeledDigraph(_reversed_some(data.draw, orient_cycle(m)), CYCLE_WITNESSES[cycle])
+        for _ in range(n + 1)
+    )
+    ind = induced_labeling_from_em_factors(outer, ArcAssignment(members))
+    kmin = min(induced_sums(underlying(outer.digraph), outer.labeling.vertex_labels))
+    expected = (m + m) * (kmin + (n + 1) - 3) + k
+    assert ind.valence == expected == valence_of(underlying(ind.product), ind.labeling)

@@ -204,6 +204,17 @@ def test_first_witnesses_are_frozen():
         assert got == want, (kind, name)
 
 
+def test_isolated_vertices_add_no_recursion_depth():
+    # 1098 isolated vertices take the free labels least first, after the
+    # search has placed the one edge; one recursion level each would
+    # exceed the interpreter's recursion limit
+    G = Graph(1100, ((1, 2),))
+    v, w = first_em_labeling(G, cap=5000)
+    assert (v, w.vertex_labels, w.edge_labels) == (6, (1, 2, *range(4, 1102)), (3,))
+    v, w = first_sem_labeling(G, cap=5000)
+    assert (v, w.vertex_labels, w.edge_labels) == (1104, tuple(range(1, 1101)), (1101,))
+
+
 def test_lower_half_spectrum_witness_is_frozen():
     # 2 * 25 < 3 * (8 + 8 + 1), so valence 25 of C8 is searched, not mirrored
     w = em_spectrum(mk_cycle(8)).witnesses[25]
