@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 
 from .decomp import (
     Decomposition,
+    _is_star_composition,
     build_s2n,
     enumerate_2_decompositions,
     induced_s2n_labeling,
@@ -278,16 +279,18 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
     if not part1 <= full:
         raise ValueError(f"edge indices must lie in 1..{G.q}")
     d = Decomposition(G, part1, full - part1)
-    s = build_s2n(G, bip, d, args.n)
-    verified = verify_s2n_iso(G, bip, d, args.n)
+    if args.labeling:
+        f = _load(args, "labeling", args.labeling, parse_labeling, G.p, G.q)
+        s, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
+    else:
+        s = build_s2n(G, bip, d, args.n)
+    verified = _is_star_composition(s)
     result: dict[str, Any] = {
         "graph": format_graph(s.graph),
         "roles": [list(role) for role in s.roles],
         "iso_verified": verified,
     }
     if args.labeling:
-        f = _load(args, "labeling", args.labeling, parse_labeling, G.p, G.q)
-        _, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
         verified = verified and valence_of(s.graph, lab) == val
         result["labeling"] = _labeling_json(lab)
         result["valence"] = val
@@ -377,7 +380,7 @@ def _repro_s2_k33() -> tuple[dict[str, Any], bool]:
         return {"base_valence": None}, False
     base_valence, f = hit
     s, lab, val = induced_s2n_labeling(G, bip, d, 1, f, 1)
-    ok = verify_s2n_iso(G, bip, d, 1) and valence_of(s.graph, lab) == val
+    ok = _is_star_composition(s) and valence_of(s.graph, lab) == val
     return {
         "base_valence": base_valence,
         "graph": format_graph(s.graph),

@@ -209,10 +209,13 @@ def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool
     through tensor_product with the looped star, and the explicit vertex
     bijection between them is tested edge by edge.
     """
-    s = build_s2n(G, bip, d, n)
-    D = orient_for_decomposition(G, bip, d)
-    star = Digraph(n + 1, tuple((1, j) for j in range(1, n + 2)))
-    prod = tensor_product(D, (star,) * G.q)
+    return _is_star_composition(build_s2n(G, bip, d, n))
+
+
+def _is_star_composition(s: S2nGraph) -> bool:
+    D = orient_for_decomposition(s.base, s.parts, s.split)
+    star = Digraph(s.n + 1, tuple((1, j) for j in range(1, s.n + 2)))
+    prod = tensor_product(D, (star,) * s.base.q)
     return edges_match_under(underlying(prod), s.graph, s2n_iso_map(s, 1))
 
 

@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Two exact devices keep the search small.
+Three exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -33,6 +33,24 @@ magic labelings the free vertex labels take the degree weights and the
 free edge labels add a fixed sum.  The bound only cuts branches without
 a completion and leaves the order of the search alone, so each searched
 valence yields the same first witness as the search without it.
+
+Twins.  Labels are tried in ascending order and every cut above removes
+only branches without a completion, so the witness found for a valence
+is the least vertex-label tuple, read in plan order, among all its
+labelings (the edge labels follow from the vertex labels).  Call two
+loopless vertices twins when they have the same neighbour multiset; they
+are then not adjacent, since either would be its own neighbour.
+Swapping the labels of twins u and v, and the labels of each edge uw
+with those of a matched edge vw, keeps every edge sum, so the valence,
+and keeps the set of vertex labels, so a super edge magic labeling stays
+one.  If u comes before v and f(u) > f(v), the swap gives a smaller
+tuple, so the least one increases along every twin class.  The search
+therefore starts each vertex's labels just above its previous twin's
+label, which cuts only labelings it would never return.  Looped vertices
+are left out: two of them with the same neighbour multiset are adjacent,
+and the swap must then also trade their loops and keep the edges between
+them, an argument not made here; nor are adjacent vertices with the same
+closed neighbourhood used.
 
 Every witness, mirrored ones included, is re-verified before it is
 reported.  The search is exact and deterministic but exponential, so
@@ -84,9 +102,10 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
     """Plan the search once per graph and return the search for one valence.
 
     The plan holds the vertex order (degree descending, index ascending),
-    for each position the edges whose labels become forced there, and the
-    bound's weights for each depth, largest first.  The unplaced degrees
-    are a slice of the order; zero degrees add nothing and are left out.
+    for each position the edges whose labels become forced there and the
+    previous twin, and the bound's weights for each depth, largest first.
+    The unplaced degrees are a slice of the order; zero degrees add
+    nothing and are left out.
     Once every vertex of nonzero degree is placed, every edge is forced
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
@@ -106,6 +125,19 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
     vmax = p if sem else total
     emin = p + 1 if sem else 1
     live = sum(1 for d in degs if d)
+    nbrs: list[list[int]] = [[] for _ in range(p + 1)]
+    for u, v in G.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    # twin[i]: the last vertex before order[i] with the same neighbour
+    # multiset, both loopless; 0, which vlab never holds, when there is none
+    last: dict[tuple[int, ...], int] = {}
+    twin = [0] * live
+    for i, v in enumerate(order[:live]):
+        if v not in nbrs[v]:
+            key = tuple(sorted(nbrs[v]))
+            twin[i] = last.get(key, 0)
+            last[key] = v
     unforced = q
     weights: list[list[int]] = []
     for i in range(live):
@@ -137,7 +169,7 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
             if not completable(i, known):
                 return False
             v, d = order[i], degs[i]
-            for lab in range(1, vmax + 1):
+            for lab in range(vlab.get(twin[i], 0) + 1, vmax + 1):
                 if not free[lab]:
                     continue
                 free[lab] = 0

@@ -65,6 +65,20 @@ def naive_valences(G: Graph, kind: str) -> list[int]:
     return sorted(out)
 
 
+def twin_classes(G: Graph) -> list[list[int]]:
+    """Classes of two or more loopless vertices whose adjacency rows (edge
+    multiplicities to every vertex) are equal, each in increasing order."""
+    rows = [[0] * (G.p + 1) for _ in range(G.p + 1)]
+    for u, v in G.edges:
+        rows[u][v] += 1
+        rows[v][u] += u != v
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(1, G.p + 1):
+        if not rows[v][v]:
+            classes.setdefault(tuple(rows[v]), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
 def naive_interval_extremes(G: Graph, kind: str) -> tuple[Fraction, Fraction]:
     """Exact rational extremes of the average edge sum over all labelings."""
     p, q = G.p, G.q

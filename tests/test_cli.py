@@ -322,6 +322,28 @@ def test_s2n_with_induced_labeling(files, capsys):
     assert code == 0 and cert["result"]["valence"] == 39
 
 
+def test_s2n_builds_the_doubling_once(files, capsys, monkeypatch):
+    import edgemagic.cli
+    import edgemagic.decomp
+
+    calls = []
+    build = edgemagic.decomp.build_s2n
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(edgemagic.decomp, "build_s2n", counted)
+    monkeypatch.setattr(edgemagic.cli, "build_s2n", counted)
+    c4 = files("c4.g", C4_TEXT)
+    lab = files("alpha.lab", ALPHA_TEXT)
+    for extra in ([], ["--labeling", lab]):
+        calls.clear()
+        assert main(["s2n", "--graph", c4, "--h1", "1,2", "--n", "2", *extra]) == 0
+        assert len(calls) == 1, extra
+    assert _last_cert(capsys)[1]["result"]["iso_verified"] is True
+
+
 def test_s2n_input_errors(files, capsys):
     c3 = files("c3.g", "p 3\ne 1 2\ne 2 3\ne 1 3\n")
     assert main(["s2n", "--graph", c3, "--h1", "1"]) == 2

@@ -422,3 +422,32 @@ def test_doublings_and_reports_are_frozen():
                     counts[1] += 1
     assert (counts[0], doublings.hexdigest()) == FROZEN_DOUBLINGS
     assert (counts[1], reports.hexdigest()) == FROZEN_REPORTS
+
+
+# Every split of P4 at n = 2, cap 26, frozen before the search broke twin
+# symmetry: part1 -> (overall, base EM and SEM counts, doubling EM and
+# SEM counts).  The copies of one base vertex at the two levels are twins.
+FROZEN_P4_SWEEP = {
+    (1,): ("no-obstruction", 3, 1, 25, 11),
+    (2,): ("no-obstruction", 3, 1, 21, 11),
+    (1, 2): ("no-obstruction", 3, 1, 25, 11),
+    (3,): ("no-obstruction", 3, 1, 21, 11),
+    (1, 3): ("no-obstruction", 3, 1, 21, 11),
+    (2, 3): ("no-obstruction", 3, 1, 21, 11),
+}
+
+
+def test_p4_split_sweep_at_two_copies_is_frozen():
+    bip = bipartition(P4)
+    got = {}
+    for d in enumerate_2_decompositions(P4):
+        s = build_s2n(P4, bip, d, 2)
+        rep = obstruction_report(s.graph, s.roles, P4, 2, cap=26)
+        got[tuple(sorted(d.part1))] = (
+            rep.overall,
+            rep.base_em_count,
+            rep.base_sem_count,
+            rep.star_em_count,
+            rep.star_sem_count,
+        )
+    assert got == FROZEN_P4_SWEEP

@@ -1,14 +1,19 @@
 """Exhaustive spectrum search against frozen values and the naive oracle."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgemagic import (
     BudgetExceededError,
+    Decomposition,
     Graph,
     TotalLabeling,
+    bipartition,
+    build_s2n,
     complement,
     em_spectrum,
     first_em_labeling,
@@ -23,7 +28,7 @@ from edgemagic import (
     sem_spectrum,
     valence_of,
 )
-from naive import CORPUS, WIDE_CORPUS, naive_valences
+from naive import CORPUS, WIDE_CORPUS, naive_valences, twin_classes
 
 # Frozen from a one-off brute-force enumeration over all labelings.
 FROZEN_EM = {
@@ -204,6 +209,41 @@ def test_first_witnesses_are_frozen():
         assert got == want, (kind, name)
 
 
+# Frozen before the search broke twin symmetry, which may not change a
+# spectrum or a searched witness.  Neither graph has a super edge magic
+# labeling: q > 2p - 3.
+FROZEN_BIPARTITE = {
+    ("em", "k34"): (
+        [24, 25, 26, 27, 28, 29, 31, 32, 33, 34, 35, 36],
+        (24, (1, 2, 3, 4, 8, 12, 16), (19, 15, 11, 7, 18, 14, 10, 6, 17, 13, 9, 5)),
+    ),
+    ("em", "k26"): (
+        [24, 25, 28, 29, 30, 31, 32, 33, 34, 35, 38, 39],
+        (24, (1, 2, 3, 6, 9, 12, 15, 18), (20, 17, 14, 11, 8, 5, 19, 16, 13, 10, 7, 4)),
+    ),
+    ("sem", "k34"): ([], None),
+    ("sem", "k26"): ([], None),
+}
+BIPARTITE_WITNESSES_SHA256 = "496c3bd6c1826c1a8970af0c67d04998f3e4fd4e99ec7e3fccb900074480eb4f"
+
+
+def test_k34_and_k26_spectra_and_first_hits_are_frozen():
+    graphs = {"k34": mk_complete_bipartite(3, 4), "k26": mk_complete_bipartite(2, 6)}
+    digest = hashlib.sha256()
+    for (kind, name), (achieved, first_hit) in FROZEN_BIPARTITE.items():
+        spectrum, first = (
+            (em_spectrum, first_em_labeling) if kind == "em" else (sem_spectrum, first_sem_labeling)
+        )
+        rep = spectrum(graphs[name], cap=40)
+        assert list(rep.achieved) == achieved, (kind, name)
+        for k, w in rep.witnesses.items():
+            digest.update(f"{kind} {name} {k} {w.vertex_labels} {w.edge_labels}\n".encode())
+        hit = first(graphs[name], cap=26)
+        got = None if hit is None else (hit[0], hit[1].vertex_labels, hit[1].edge_labels)
+        assert got == first_hit, (kind, name)
+    assert digest.hexdigest() == BIPARTITE_WITNESSES_SHA256
+
+
 def test_isolated_vertices_add_no_recursion_depth():
     # 1098 isolated vertices take the free labels least first, after the
     # search has placed the one edge; one recursion level each would
@@ -260,3 +300,55 @@ def test_upper_half_witnesses_are_duals_of_the_lower_half(G):
             assert recheck(G, w) == k
             if 2 * k > c:
                 assert w == _dual(G, rep.witnesses[c - k], kind)
+
+
+@st.composite
+def twin_rich_multigraphs(draw) -> Graph:
+    """Graphs with p+q <= 9 and p <= 5, so that the naive oracle stays
+    fast, full of false twins: stars, some with a loop at the center or a
+    pendant on one leaf, K_m,n with pendants, doublings of K2, and small
+    multigraphs with duplicated vertices beside loops on vertices that
+    are not duplicated."""
+    family = draw(st.sampled_from(("star", "bipartite", "doubling", "looped")))
+    if family == "star":
+        m = draw(st.integers(1, 4))
+        edges = [(1, leaf) for leaf in range(2, m + 2)]
+        edges += [(1, 1)] * draw(st.integers(0, 1)) + [(2, m + 2)] * draw(st.integers(0, 1))
+        G = Graph(max(v for e in edges for v in e), tuple(edges))
+    elif family == "bipartite":
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        K = mk_complete_bipartite(m, n)
+        ends = draw(st.lists(st.integers(1, m + n), max_size=2))
+        G = Graph(K.p + len(ends), K.edges + tuple((v, K.p + i) for i, v in enumerate(ends, 1)))
+    elif family == "doubling":
+        K2 = Graph(2, ((1, 2),))
+        part1 = draw(st.sampled_from((frozenset(), frozenset({1}))))
+        d = Decomposition(K2, part1, frozenset({1}) - part1)
+        G = build_s2n(K2, bipartition(K2), d, 1).graph
+    else:
+        b = draw(st.integers(1, 3))
+        vertex = st.integers(1, b)
+        base = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+        edges = list(base)
+        p = b
+        for v in draw(st.lists(vertex, max_size=3)):
+            if (v, v) not in base:
+                p += 1
+                edges += [(p, w if u == v else u) for u, w in base if v in (u, w)]
+        G = Graph(p, tuple(edges))
+    assume(G.p + G.q <= 9 and G.p <= 5)
+    return G
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(twin_rich_multigraphs())
+def test_twin_rich_spectra_match_naive_and_witnesses_order_twins(G):
+    classes = twin_classes(G)
+    for kind, spectrum in (("em", em_spectrum), ("sem", sem_spectrum)):
+        rep = spectrum(G)
+        assert list(rep.achieved) == naive_valences(G, kind)
+        for k, w in rep.witnesses.items():
+            if 2 * k <= _mirror(G, kind):
+                for twins in classes:
+                    labels = [w.vertex_labels[v - 1] for v in twins]
+                    assert labels == sorted(labels), (kind, k, twins)
