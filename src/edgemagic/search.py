@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Three exact devices keep the search small.
+Five exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -52,6 +52,43 @@ and the swap must then also trade their loops and keep the edges between
 them, an argument not made here; nor are adjacent vertices with the same
 closed neighbourhood used.
 
+Congruence.  Each label 1..p+q is used once, so the labels sum to
+T = (p+q)(p+q+1)/2 and the summed edge equation reads
+q*k - T = sum of (deg(v) - 1) * f(v) over the vertices.  At depth i the
+unplaced vertices U and the edges not yet forced take exactly the free
+labels, so the remainder minus the sum of the free labels equals the sum
+of (deg(v) - 1) * f(v) over U, and the gcd g_i of those weights must
+divide it.  For super edge magic labelings U takes exactly the free
+vertex labels; with d the degree of any vertex of U, the remainder minus
+d times their sum equals the sum of (deg(v) - d) * f(v) over U, and g_i
+is the gcd of the degree differences within U.  The moduli are computed
+once per graph for every depth, isolated vertices included (an isolated
+vertex has edge magic weight -1, so g_i = 1 while one is unplaced).
+g_i = 0 says the weighted sum is 0, which the bound already enforces,
+and g_i = 1 cuts nothing, so only larger moduli are checked.  Placing
+the vertex v at depth i - 1 with label x moves that residue by v's
+weight times x, a multiple of g_(i-1); so where g_i equals g_(i-1), the
+residue modulo g_i is the one already checked at a shallower depth and
+the check is skipped.  At the root the edge magic check reads
+q*k = T (mod g_0): the degrees of K4 are all 3, so g_0 = 2 and 6k - 55
+is odd, and no valence is searched, the parity argument for odd-regular
+graphs with p = 4 (mod 8) of Craft and Tesar (Discrete Math. 1999); the
+odd valences of K3,3 fall the same way.  The cut removes only branches
+without a completion, so no witness changes.
+
+Middle.  At the self-dual valence k = c/2 the dual of a witness is a
+witness of the same valence, and so is that dual composed with the swap
+of the first vertex v0 of the plan and one of its twins u (or with no
+swap), since the twin swap keeps every edge sum.  With flip = p+q+1 for
+edge magic and p+1 for super edge magic labelings, that labeling gives
+v0 the label flip - f(u) (flip - f(v0) without the swap).  The witness
+the search returns is the least tuple, and v0 comes first in it, so
+f(v0) <= flip - f(v0), that is f(v0) <= flip // 2, and
+f(u) <= flip - f(v0) for every twin u.  At that one valence the search
+stops the label loops of v0 and of its twins there: the cut removes only
+labelings the search would never return, so no witness changes.  The
+first cap needs only the duality, so it holds when v0 has a loop too.
+
 Every witness, mirrored ones included, is re-verified before it is
 reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
@@ -61,6 +98,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from operator import mul
 from typing import Callable, Iterator, Mapping
 
@@ -98,14 +136,17 @@ class SpectrumReport:
     perfect: bool
 
 
-def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None]:
+def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLabeling | None]:
     """Plan the search once per graph and return the search for one valence.
 
     The plan holds the vertex order (degree descending, index ascending),
     for each position the edges whose labels become forced there and the
-    previous twin, and the bound's weights for each depth, largest first.
+    previous twin, the bound's weights for each depth, largest first, the
+    congruence modulus for each depth, 0 where it needs no check, and the
+    positions of the first vertex and of its twins, which the middle cut
+    bounds at the valence mirror / 2.
     The unplaced degrees are a slice of the order; zero degrees add
-    nothing and are left out.
+    nothing to the bound and are left out of its weights.
     Once every vertex of nonzero degree is placed, every edge is forced
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
@@ -123,6 +164,7 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
         later, other = (u, v) if pos[u] >= pos[v] else (v, u)
         finishers[pos[later]].append((i, other))
     vmax = p if sem else total
+    flip = vmax + 1
     emin = p + 1 if sem else 1
     live = sum(1 for d in degs if d)
     nbrs: list[list[int]] = [[] for _ in range(p + 1)]
@@ -130,19 +172,31 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
         nbrs[u].append(v)
         nbrs[v].append(u)
     # twin[i]: the last vertex before order[i] with the same neighbour
-    # multiset, both loopless; 0, which vlab never holds, when there is none
+    # multiset, both loopless; 0, which vlab never holds, when there is none.
+    # v0_class: the positions of order[0] and of its twins
     last: dict[tuple[int, ...], int] = {}
     twin = [0] * live
+    v0_class = {0}
     for i, v in enumerate(order[:live]):
         if v not in nbrs[v]:
             key = tuple(sorted(nbrs[v]))
             twin[i] = last.get(key, 0)
             last[key] = v
+            if twin[i] and pos[twin[i]] in v0_class:
+                v0_class.add(i)
     unforced = q
     weights: list[list[int]] = []
     for i in range(live):
         weights.append(degs[i:live] + ([] if sem else [1] * unforced))
         unforced -= len(finishers[i])
+    # gcds[i]: the gcd of deg(v) - base over the vertices v unplaced at
+    # depth i, isolated ones included; moduli[i] keeps it where it exceeds
+    # 1 and differs from gcds[i - 1], and is 0 elsewhere
+    base = degs[-1] if sem else 1
+    gcds = [0] * (p + 1)
+    for i in reversed(range(p)):
+        gcds[i] = gcd(gcds[i + 1], degs[i] - base)
+    moduli = [g if g > 1 and g != prev else 0 for prev, g in zip([1] + gcds, gcds[:live])]
     labels = range(total + 1)
 
     def find(k: int) -> TotalLabeling | None:
@@ -150,6 +204,7 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
         free = bytearray([0]) + bytearray([1]) * total
         vlab: dict[int, int] = {}
         elab = [0] * q
+        middle = 2 * k == mirror
 
         def completable(i: int, known: int) -> bool:
             # known: sum of deg(v) * f(v) over placed v plus the forced edge labels
@@ -160,6 +215,8 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
                 # the p - i free vertex labels lie below every free edge label
                 rest -= sum(left[p - i:])
                 del left[p - i:]
+            if moduli[i] and (rest - base * sum(left)) % moduli[i]:
+                return False
             return sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left)))
 
         def place(i: int, known: int) -> bool:
@@ -169,7 +226,10 @@ def _witness_finder(G: Graph, kind: str) -> Callable[[int], TotalLabeling | None
             if not completable(i, known):
                 return False
             v, d = order[i], degs[i]
-            for lab in range(vlab.get(twin[i], 0) + 1, vmax + 1):
+            top = vmax
+            if middle and i in v0_class:
+                top = flip - vlab[order[0]] if i else flip // 2
+            for lab in range(vlab.get(twin[i], 0) + 1, top + 1):
                 if not free[lab]:
                     continue
                 free[lab] = 0
@@ -227,7 +287,7 @@ def _search(
     dual = _sem_dual if kind == "sem" else complement
     # exactly 3(p+q+1) for EM and 4p+q+3 for SEM
     mirror = int(interval.raw_min + interval.raw_max)
-    find = _witness_finder(G, kind)
+    find = _witness_finder(G, kind, mirror)
 
     def verified(k: int, w: TotalLabeling) -> tuple[int, TotalLabeling]:
         if recheck(G, w) != k:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -244,6 +245,75 @@ def test_k34_and_k26_spectra_and_first_hits_are_frozen():
     assert digest.hexdigest() == BIPARTITE_WITNESSES_SHA256
 
 
+def _complete(n: int) -> Graph:
+    return Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
+# Frozen before the search checked degree congruences and cut at the
+# middle valence, which may not change a spectrum or a searched witness.
+# K4 has no edge magic labeling: its degrees are odd and p = 4 (mod 8).
+FROZEN_COMPLETE = {
+    ("em", "k4"): ([], None),
+    ("sem", "k4"): ([], None),
+    ("em", "k5"): ([18, 24, 30], (18, (1, 2, 3, 5, 9), (15, 14, 12, 8, 13, 11, 7, 10, 6, 4))),
+    ("sem", "k5"): ([], None),
+    ("em", "k6"): (
+        [25, 29, 37, 41],
+        (25, (1, 3, 4, 5, 9, 14), (21, 20, 19, 15, 10, 18, 17, 13, 8, 16, 12, 7, 11, 6, 2)),
+    ),
+    ("sem", "k6"): ([], None),
+}
+COMPLETE_WITNESSES_SHA256 = "73e9bc2bae7630df678b821ba8f47de56e977ac2f6fbb0ca0e5ac0806a6109db"
+
+
+def test_complete_graph_spectra_and_first_hits_are_frozen():
+    digest = hashlib.sha256()
+    for (kind, name), (achieved, first_hit) in FROZEN_COMPLETE.items():
+        G = _complete(int(name[1:]))
+        spectrum, first = (
+            (em_spectrum, first_em_labeling) if kind == "em" else (sem_spectrum, first_sem_labeling)
+        )
+        rep = spectrum(G, cap=21)
+        assert list(rep.achieved) == achieved, (kind, name)
+        for k, w in rep.witnesses.items():
+            digest.update(f"{kind} {name} {k} {w.vertex_labels} {w.edge_labels}\n".encode())
+        hit = first(G, cap=21)
+        got = None if hit is None else (hit[0], hit[1].vertex_labels, hit[1].edge_labels)
+        assert got == first_hit, (kind, name)
+    assert digest.hexdigest() == COMPLETE_WITNESSES_SHA256
+    assert em_spectrum(_complete(4)).achieved == ()
+
+
+def test_middle_valence_witness_is_least_under_duality_and_twin_swaps():
+    # The witness at the self-dual valence c/2 is the least vertex-label
+    # tuple in plan order (degree descending, then index) among all its
+    # labelings, so no dual of it, with the first vertex v0 traded for a
+    # twin or not, is smaller.
+    graphs = dict(WIDE_CORPUS)
+    graphs.update(
+        (f"k{m}{n}", mk_complete_bipartite(m, n))
+        for m in range(1, 4) for n in range(m, 7) if m + n + m * n <= 14
+    )
+    checked = 0
+    for name, G in graphs.items():
+        deg = G.degrees()
+        order = sorted(range(1, G.p + 1), key=lambda v: (-deg[v - 1], v))
+        v0 = order[0]
+        mates = next((c for c in twin_classes(G) if v0 in c), [v0])
+        for kind, spectrum in (("em", em_spectrum), ("sem", sem_spectrum)):
+            c = _mirror(G, kind)
+            w = spectrum(G).witnesses.get(c // 2) if c % 2 == 0 else None
+            if w is None:
+                continue
+            dual = _dual(G, w, kind).vertex_labels
+            for u in mates:
+                swapped = {v0: dual[u - 1], u: dual[v0 - 1]}
+                other = [swapped.get(v, dual[v - 1]) for v in order]
+                assert [w.vertex_labels[v - 1] for v in order] <= other, (name, kind, u)
+                checked += 1
+    assert checked > 10
+
+
 def test_isolated_vertices_add_no_recursion_depth():
     # 1098 isolated vertices take the free labels least first, after the
     # search has placed the one edge; one recursion level each would
@@ -352,3 +422,67 @@ def test_twin_rich_spectra_match_naive_and_witnesses_order_twins(G):
                 for twins in classes:
                     labels = [w.vertex_labels[v - 1] for v in twins]
                     assert labels == sorted(labels), (kind, k, twins)
+
+
+def _meets_root_congruence(G: Graph, kind: str, k: int) -> bool:
+    """Whether valence k meets the congruence that summing the edge
+    equation over all q edges gives.  Every label is used once, so for
+    edge magic labelings q*k - (p+q)(p+q+1)/2 = sum over v of
+    (deg(v) - 1) * f(v); for super edge magic ones the vertex labels are
+    1..p and, with d the degree of vertex 1,
+    q*k - (p+1 + ... + p+q) - d * p(p+1)/2 = sum over v of (deg(v) - d) * f(v).
+    Either way the gcd g of the weights divides the left side, which is 0
+    when g is."""
+    p, q, deg = G.p, G.q, G.degrees()
+    if kind == "em":
+        g = gcd(*(d - 1 for d in deg))
+        rest = q * k - (p + q) * (p + q + 1) // 2
+    else:
+        g = gcd(*(d - deg[0] for d in deg))
+        rest = q * k - sum(range(p + 1, p + q + 1)) - deg[0] * p * (p + 1) // 2
+    return rest % g == 0 if g else rest == 0
+
+
+@st.composite
+def congruent_multigraphs(draw) -> Graph:
+    """Graphs with p+q <= 9 and p <= 5 whose degrees are all odd or all
+    congruent to 1 modulo 3 or 4: multigraphs with such degrees, loops
+    allowed, odd-regular ones among them, some with one more vertex of
+    any degree; stars with a loop at the center, which are the crowns of
+    a loop (a crown on a cycle has 12 labels or more, beyond the naive
+    oracle, and one on a digon repeats an edge); and K_m,n with m and n
+    of equal parity."""
+    family = draw(st.sampled_from(("congruent", "looped star", "bipartite")))
+    if family == "congruent":
+        m = draw(st.integers(2, 4))
+        degrees = draw(st.lists(st.integers(0, 1).map(lambda a: 1 + m * a), min_size=2, max_size=5))
+        if draw(st.booleans()):
+            degrees = [degrees[0]] * len(degrees)
+        # one vertex off the residue class leaves a larger gcd deeper down
+        degrees += draw(st.lists(st.integers(0, 4), max_size=1))
+        assume(sum(degrees) % 2 == 0)
+        stubs = draw(st.permutations([v for v, d in enumerate(degrees, 1) for _ in range(d)]))
+        G = Graph(len(degrees), tuple(zip(stubs[::2], stubs[1::2])))
+        # a repeated edge leaves no labeling, a case multigraphs covers
+        assume(len(set(G.edges)) == G.q)
+    elif family == "looped star":
+        G = mk_star_with_loop(draw(st.integers(1, 3)))
+    else:
+        m, n = draw(st.sampled_from(((1, 1), (1, 3), (2, 2))))
+        G = mk_complete_bipartite(m, n)
+    assume(G.p + G.q <= 9 and G.p <= 5)
+    return G
+
+
+@DETERMINISTIC
+@given(st.one_of(multigraphs(8), congruent_multigraphs()))
+def test_naive_valences_meet_the_root_congruence(G):
+    for kind, spectrum, first in (
+        ("em", em_spectrum, first_em_labeling),
+        ("sem", sem_spectrum, first_sem_labeling),
+    ):
+        naive = naive_valences(G, kind)
+        assert all(_meets_root_congruence(G, kind, k) for k in naive), kind
+        assert list(spectrum(G).achieved) == naive, kind
+        hit = first(G)
+        assert (None if hit is None else hit[0]) == (naive[0] if naive else None), kind
