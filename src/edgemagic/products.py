@@ -18,6 +18,10 @@ structure:
   that has as many arcs as vertices with them also yields an edge magic
   product.
 
+Both induced labelings key, check and normalize each distinct member
+once per call, so equal members on many arcs cost one check, and every
+product they build is still re-verified against its closed-form valence.
+
 Each choice of inputs produces one valence, and a crown graph is such a
 product in two ways: a directed cycle composed with stars with loops, or
 a star with loop composed with cycle copies.  The two routes reach
@@ -188,20 +192,33 @@ def em_factor_key(member: LabeledDigraph) -> tuple[int, int, frozenset[int]]:
 
 
 def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
-    """The key every member shares, given one member per arc of D."""
+    """The key every member shares, given one member per arc of D, and
+    each arc's member normalized by its labels.
+
+    Equal members are keyed, checked and normalized once per call; the
+    first bad arc is the one an error names.
+    """
     if len(assignment.members) != len(D.arcs):
         raise ValueError(
             f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
         )
-    keys = []
+    done: dict[LabeledDigraph, tuple] = {}
+    keyed = []
     for t, M in enumerate(assignment.members, start=1):
-        try:
-            keys.append(key_fn(M))
-        except ValueError as exc:
-            raise ValueError(f"member {t}: {exc}") from None
-    if len(set(keys)) != 1:
-        raise ValueError("members do not share a key")
-    return keys[0]
+        entry = done.get(M)
+        if entry is None:
+            try:
+                entry = done[M] = (key_fn(M), normalize_by_labels(M))
+            except ValueError as exc:
+                raise ValueError(f"member {t}: {exc}") from None
+        keyed.append(entry)
+    key = keyed[0][0]
+    for t, (k, _) in enumerate(keyed, start=1):
+        if k != key:
+            raise ValueError(
+                f"members do not share a key: member {t} has {k}, member 1 has {key}"
+            )
+    return key, [nm for _, nm in keyed]
 
 
 def induced_labeling_from_sem_factors(
@@ -216,11 +233,10 @@ def induced_labeling_from_sem_factors(
     v.  The result is super edge magic whenever the outer labeling is.
     """
     D = outer.digraph
-    p_m, k = _common_key(D, assignment, sem_factor_key)
+    (p_m, k), normalized = _common_key(D, assignment, sem_factor_key)
     v = valence_of(underlying(D), outer.labeling)
     if v is None:
         raise ValueError("outer labeling is not edge magic")
-    normalized = [normalize_by_labels(M) for M in assignment.members]
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
     f = outer.labeling
     vlabs = [0] * product.p
@@ -261,12 +277,11 @@ def induced_labeling_from_em_factors(
         raise ValueError("outer digraph needs as many arcs as vertices")
     if is_super_edge_magic(GD, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
-    q_m, sigma, vset = _common_key(D, assignment, em_factor_key)
+    (q_m, sigma, vset), normalized = _common_key(D, assignment, em_factor_key)
     p_m = len(vset)
     total = p_m + q_m
     g = outer.labeling.vertex_labels
     smax = max(induced_sums(GD, g))
-    normalized = [normalize_by_labels(M) for M in assignment.members]
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
     common = sorted(vset)
     vlabs = [0] * product.p
@@ -421,26 +436,25 @@ def star_product_valences(
     crown = mk_crown(m, n)
     cyc = orient_cycle(m)
     star_centers = range(1, n + 2) if all_centers else (1, n + 1)
+    stars = {r: star_loop_labeling(n, r) for r in range(1, n + 2)}
     found: dict[int, TotalLabeling] = {}
     for L in cycle_labelings:
         cycle_member = LabeledDigraph(cyc, L)
         if valence_of(underlying(cyc), L) is None:
             raise ValueError("cycle labeling is not edge magic")
-        for r in range(1, n + 2):
-            star = star_loop_labeling(n, r)
+        for r, star in stars.items():
             ind = induced_labeling_from_sem_factors(
                 cycle_member, ArcAssignment.constant(star, m)
             )
             lab = _realize(ind, crown, crown_iso_from_cycle_product(m, n, r))
             found.setdefault(ind.valence, lab)
+        ncyc, _ = normalize_by_labels(cycle_member)
+        star_iso = crown_iso_from_star_product(m, n, ncyc.digraph)
         for r in star_centers:
-            outer = star_loop_labeling(n, r)
             ind = induced_labeling_from_em_factors(
-                outer, ArcAssignment.constant(cycle_member, n + 1)
+                stars[r], ArcAssignment.constant(cycle_member, n + 1)
             )
-            ncyc, _ = normalize_by_labels(cycle_member)
-            lab = _realize(ind, crown, crown_iso_from_star_product(m, n, ncyc.digraph))
-            found.setdefault(ind.valence, lab)
+            found.setdefault(ind.valence, _realize(ind, crown, star_iso))
     return found
 
 

@@ -242,6 +242,17 @@ def test_product_assign_errors(files, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_product_names_the_member_with_another_key(files, capsys):
+    # center labeled 2: the induced sums start at 3, not 2
+    star2 = files("star2.d", "p 2\na 1 1\na 1 2\nv 1 2\nv 2 1\ne 1 3\ne 2 4\n")
+    code = main(["product", "--mode", "spk", "--d", files("cyc.d", CYC_D_TEXT),
+                 "--member", files("star.d", STAR_D_TEXT), "--member", star2,
+                 "--assign", files("assign.txt", "1 1\n2 1\n3 1\n4 2\n")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: members do not share a key: member 4 has (2, 3), member 1 has (2, 2)\n"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

@@ -1,6 +1,7 @@
 """Product construction, factor keys, induced labelings, crown tables."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,19 +12,24 @@ from edgemagic import (
     ArcAssignment,
     CYCLE4_EM_LABELINGS,
     Digraph,
+    Graph,
     LabeledDigraph,
     TotalLabeling,
+    bipartition,
     crown_iso_from_cycle_product,
     crown_iso_from_star_product,
     directed_cycle_order,
     edges_match_under,
     em_factor_key,
     em_spectrum,
+    enumerate_2_decompositions,
     extend_vertex_labeling,
     induced_labeling_from_em_factors,
     induced_labeling_from_sem_factors,
+    induced_s2n_labeling,
     induced_sums,
     is_super_edge_magic,
+    mk_complete_bipartite,
     mk_crown,
     mk_cycle,
     normalize_by_labels,
@@ -144,6 +150,68 @@ def test_mixed_member_keys_are_rejected():
     )
     with pytest.raises(ValueError, match="share a key"):
         induced_labeling_from_sem_factors(cyc, members)
+
+
+def test_mixed_member_keys_name_the_first_mismatch():
+    cyc = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[0])
+    members = ArcAssignment(
+        (star_loop_labeling(2, 1),) * 3 + (star_loop_labeling(2, 2),)
+    )
+    with pytest.raises(ValueError) as err:
+        induced_labeling_from_sem_factors(cyc, members)
+    assert str(err.value) == (
+        "members do not share a key: member 4 has (3, 3), member 1 has (3, 2)"
+    )
+    c13 = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1])
+    with pytest.raises(ValueError) as err:
+        induced_labeling_from_em_factors(star_loop_labeling(2, 1), ArcAssignment((cyc, c13, cyc)))
+    assert str(err.value) == (
+        f"members do not share a key: member 2 has {em_factor_key(c13)}, "
+        f"member 1 has {em_factor_key(cyc)}"
+    )
+
+
+def _not_sem_star() -> LabeledDigraph:
+    """A looped star on 3 vertices whose vertex labels are 4, 5, 6."""
+    return LabeledDigraph(star_loop_labeling(2, 1).digraph, TotalLabeling((4, 5, 6), (1, 2, 3)))
+
+
+def _not_em_cycle() -> LabeledDigraph:
+    return LabeledDigraph(orient_cycle(4), TotalLabeling((1, 2, 3, 4), (5, 6, 7, 8)))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-object", "equal-objects"])
+def test_a_bad_member_is_named_by_its_first_arc(shared):
+    # the only bad member sits at arcs 2 and 4, as one object or as two
+    # equal ones; a member with another key does not mask it
+    cases = (
+        (
+            LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[0]),
+            induced_labeling_from_sem_factors,
+            star_loop_labeling(2, 1),
+            star_loop_labeling(2, 2),
+            _not_sem_star,
+            "member labeling is not super edge magic",
+        ),
+        (
+            star_loop_labeling(3, 1),
+            induced_labeling_from_em_factors,
+            LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[0]),
+            LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1]),
+            _not_em_cycle,
+            "member labeling is not edge magic",
+        ),
+    )
+    for outer, induce, good, other, make_bad, why in cases:
+        bad2 = make_bad()
+        bad4 = bad2 if shared else make_bad()
+        assert bad4 == bad2 and (bad4 is bad2) == shared
+        with pytest.raises(ValueError, match=f"^member 2: {why}$"):
+            induce(outer, ArcAssignment((good, bad2, good, bad4)))
+        with pytest.raises(ValueError, match=f"^member 4: {why}$"):
+            induce(outer, ArcAssignment((good, other, good, bad4)))
+        with pytest.raises(ValueError, match="share a key"):
+            induce(outer, ArcAssignment((good, good, good, other)))
 
 
 def test_empty_assignments_name_the_arc_count():
@@ -329,6 +397,47 @@ CYCLE_WITNESSES = {
 }
 
 
+def _arc_by_arc_sem(outer: LabeledDigraph, members, k: int):
+    """Product, labeling and member maps of the SEM-member composition,
+    rebuilt arc by arc with each member normalized on its own; k is the
+    members' least induced sum."""
+    norms = [normalize_by_labels(M) for M in members]
+    product = tensor_product(outer.digraph, [nm.digraph for nm, _ in norms])
+    pm, f = members[0].digraph.p, outer.labeling
+    vl = [pm * (f.vertex_labels[a] - 1) + i for a in range(outer.digraph.p) for i in range(1, pm + 1)]
+    el = [
+        pm * (f.edge_labels[t] - 1) + k + pm - (i + j)
+        for t, (nm, _) in enumerate(norms)
+        for i, j in nm.digraph.arcs
+    ]
+    return product, TotalLabeling(tuple(vl), tuple(el)), tuple(m for _, m in norms)
+
+
+def _arc_by_arc_em(outer: LabeledDigraph, members):
+    """The same for the EM-member composition over an SEM outer digraph."""
+    norms = [normalize_by_labels(M) for M in members]
+    product = tensor_product(outer.digraph, [nm.digraph for nm, _ in norms])
+    first = norms[0][0]
+    total, g = first.digraph.p + first.digraph.q, outer.labeling.vertex_labels
+    smax = max(g[x - 1] + g[y - 1] for x, y in outer.digraph.arcs)
+    vl = [total * (g[i] - 1) + x for i in range(outer.digraph.p) for x in first.labeling.vertex_labels]
+    el = [
+        total * (smax - g[x - 1] - g[y - 1]) + e
+        for (x, y), (nm, _) in zip(outer.digraph.arcs, norms)
+        for e in nm.labeling.edge_labels
+    ]
+    return product, TotalLabeling(tuple(vl), tuple(el)), tuple(m for _, m in norms)
+
+
+def test_constant_assignments_match_the_arc_by_arc_reference():
+    cyc = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1])
+    star = star_loop_labeling(2, 2)
+    ind = induced_labeling_from_sem_factors(cyc, ArcAssignment.constant(star, 4))
+    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_sem(cyc, (star,) * 4, 3)
+    ind = induced_labeling_from_em_factors(star, ArcAssignment.constant(cyc, 3))
+    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_em(star, (cyc,) * 3)
+
+
 def _reversed_some(draw, D: Digraph) -> Digraph:
     """D with a random subset of its arcs reversed: same underlying graph."""
     flips = draw(st.lists(st.booleans(), min_size=D.q, max_size=D.q))
@@ -349,6 +458,7 @@ def test_star_member_valence_formula_over_random_keys(cycle, n, data):
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment(members))
     expected = (n + 1) * (v - 3) + (r + 1) + (n + 1)
     assert ind.valence == expected == valence_of(underlying(ind.product), ind.labeling)
+    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_sem(outer, members, r + 1)
 
 
 @DETERMINISTIC
@@ -366,3 +476,36 @@ def test_cycle_member_valence_formula_over_random_keys(n, cycle, data):
     kmin = min(induced_sums(underlying(outer.digraph), outer.labeling.vertex_labels))
     expected = (m + m) * (kmin + (n + 1) - 3) + k
     assert ind.valence == expected == valence_of(underlying(ind.product), ind.labeling)
+    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_em(outer, members)
+
+
+# Crown tables and split-doubling labelings, frozen from a reference run
+# so that a faster construction must build byte-identical outputs:
+# (tables, s2n labelings, sha256).
+FROZEN_CONSTRUCT = (10, 1578, "9a380ecbe4d6ed0b2b23ba84b3ef57e2d137e7b20810f977f021f8ecd3a80a2f")
+
+
+def test_crown_tables_and_s2n_labelings_are_frozen():
+    digest, counts = hashlib.sha256(), [0, 0]
+    for m, n in ((3, 5), (4, 3), (5, 2), (6, 2), (4, 2)):
+        witnesses = list(em_spectrum(mk_cycle(m)).witnesses.values())
+        for all_centers in (False, True):
+            table = star_product_valences(m, n, witnesses, all_centers=all_centers)
+            digest.update(repr(sorted(table.items())).encode())
+            counts[0] += 1
+    bases = (
+        Graph(4, ((1, 2), (2, 3), (3, 4))),
+        mk_complete_bipartite(1, 3),
+        mk_cycle(4),
+        mk_complete_bipartite(2, 3),
+    )
+    for G in bases:
+        bip = bipartition(G)
+        witnesses = list(em_spectrum(G).witnesses.values())
+        for d in enumerate_2_decompositions(G):
+            for f in witnesses:
+                for r in (1, 2, 3):
+                    s, lab, val = induced_s2n_labeling(G, bip, d, 2, f, r)
+                    digest.update(repr((s.graph, lab, val)).encode())
+                    counts[1] += 1
+    assert (*counts, digest.hexdigest()) == FROZEN_CONSTRUCT
