@@ -118,6 +118,8 @@ def _write_atomically(path: str, payload: Any) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -254,8 +256,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         kmin = min(induced_sums(outer_graph, outer.labeling.vertex_labels))
         predicted = (member.digraph.p + qm) * (kmin + outer.digraph.p - 3) + sigma
 
-    product_graph = underlying(ind.product)
-    verified_valence = valence_of(product_graph, ind.labeling)
+    verified_valence = valence_of(ind.graph, ind.labeling)
     verified = verified_valence == ind.valence == predicted
     result = {
         "mode": args.mode,
@@ -263,7 +264,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         "labeling": _labeling_json(ind.labeling),
         "predicted_valence": predicted,
         "verified_valence": verified_valence,
-        "super": is_super_edge_magic(product_graph, ind.labeling) is not None,
+        "super": is_super_edge_magic(ind.graph, ind.labeling) is not None,
     }
     _emit(args, result, verified)
     return EXIT_OK if verified else EXIT_FAIL

@@ -20,17 +20,17 @@ structure:
 
 Both induced labelings key, check and normalize each distinct member
 once per call, so equal members on many arcs cost one check, and every
-product they build is still re-verified against its closed-form valence.
+induced labeling verifies its closed-form valence when it is built.
 
 Each choice of inputs produces one valence, and a crown graph is such a
 product in two ways: a directed cycle composed with stars with loops, or
-a star with loop composed with cycle copies.  The two routes reach
-different valence ranges, which is how the crown valence tables here are
-assembled.
+a star with loop composed with cycle copies, whose crown map is the
+first one's with the factors swapped.  The two routes reach different
+valence ranges, which is how the crown valence tables are assembled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .graphs import Digraph, Graph, mk_crown, underlying, edges_match_under
@@ -57,7 +57,6 @@ __all__ = [
     "induced_labeling_from_em_factors",
     "star_loop_labeling",
     "orient_cycle",
-    "directed_cycle_order",
     "crown_iso_from_cycle_product",
     "crown_iso_from_star_product",
     "star_product_valences",
@@ -98,13 +97,20 @@ class InducedProductLabeling:
 
     member_maps records, per outer arc, the renumbering applied to that
     arc's member before composing: entry v-1 holds the new index of
-    member vertex v.
+    member vertex v.  Construction sets graph to the underlying graph of
+    product and checks the valence on it.
     """
 
     product: Digraph
     labeling: TotalLabeling
     valence: int
     member_maps: tuple[tuple[int, ...], ...]
+    graph: Graph = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "graph", underlying(self.product))
+        if valence_of(self.graph, self.labeling) != self.valence:
+            raise RuntimeError("induced labeling failed verification")
 
 
 # Four edge magic labelings of the 4-cycle, one per valence; 12..15 is
@@ -202,6 +208,8 @@ def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
         raise ValueError(
             f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
         )
+    if not D.arcs:
+        raise ValueError("product of an arcless digraph is undefined")
     done: dict[LabeledDigraph, tuple] = {}
     keyed = []
     for t, M in enumerate(assignment.members, start=1):
@@ -254,8 +262,6 @@ def induced_labeling_from_sem_factors(
             elabs.append(base - (i + j))
     labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
     valence = p_m * (v - 3) + k + p_m
-    if valence_of(underlying(product), labeling) != valence:
-        raise RuntimeError("induced labeling failed verification")
     return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in normalized))
 
 
@@ -298,8 +304,6 @@ def induced_labeling_from_em_factors(
             elabs.append(base + el)
     labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
     valence = total * (smax - 2) + sigma
-    if valence_of(underlying(product), labeling) != valence:
-        raise RuntimeError("induced labeling failed verification")
     return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in normalized))
 
 
@@ -332,29 +336,6 @@ def orient_cycle(m: int) -> Digraph:
     return Digraph(m, tuple((i, i % m + 1) for i in range(1, m + 1)))
 
 
-def directed_cycle_order(D: Digraph) -> list[int]:
-    """Vertices of a single directed cycle, in arc order starting at 1."""
-    if D.p == 0 or len(D.arcs) != D.p:
-        raise ValueError("not a directed cycle: need as many arcs as vertices")
-    succ: dict[int, int] = {}
-    indeg = [0] * (D.p + 1)
-    for u, v in D.arcs:
-        if u in succ:
-            raise ValueError("not a directed cycle: vertex with two outgoing arcs")
-        succ[u] = v
-        indeg[v] += 1
-    if any(indeg[v] != 1 for v in range(1, D.p + 1)):
-        raise ValueError("not a directed cycle: in-degrees differ from 1")
-    order = [1]
-    cur = succ[1]
-    while cur != 1:
-        order.append(cur)
-        cur = succ[cur]
-    if len(order) != D.p:
-        raise ValueError("not a directed cycle: several disjoint cycles")
-    return order
-
-
 def _fiber_map(
     p: int, n: int, center: int, copy_of: Callable[[int, int], int]
 ) -> dict[int, int]:
@@ -382,37 +363,31 @@ def crown_iso_from_cycle_product(m: int, n: int, center: int) -> dict[int, int]:
     return _fiber_map(m, n, center, lambda a, j: m + ((a - 2) % m) * n + j)
 
 
-def crown_iso_from_star_product(m: int, n: int, member_cycle: Digraph) -> dict[int, int]:
+def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> dict[int, int]:
     """Vertex map onto mk_crown(m, n) for the star-composed-with-cycles
     product.
 
     Assumes the outer digraph is the star with loop on n+1 vertices with
-    the loop at vertex 1 and that every arc carries `member_cycle`, a
-    renumbered directed cycle.  Fiber 1 carries the cycle in the
-    member's arc order; fiber s >= 2 holds pendant s-1 of each cycle
-    vertex.
+    the loop at vertex 1 and that every arc carries orient_cycle(m)
+    renumbered by member_map, as normalize_by_labels returns it.  With
+    the factors swapped this is the center-1 cycle product, its cycle
+    read from the vertex renumbered 1.
     """
-    order = directed_cycle_order(member_cycle)
-    pos = {v: t for t, v in enumerate(order, start=1)}
-    pred = {b: a for a, b in member_cycle.arcs}
-    iso: dict[int, int] = {}
-    for s in range(1, n + 2):
-        for b in range(1, m + 1):
-            src = m * (s - 1) + b
-            if s == 1:
-                iso[src] = pos[b]
-            else:
-                iso[src] = m + (pos[pred[b]] - 1) * n + (s - 1)
-    return iso
+    cyc = crown_iso_from_cycle_product(m, n, 1)
+    start = member_map.index(1)
+    return {
+        m * (s - 1) + member_map[v - 1]: cyc[(n + 1) * ((v - 1 - start) % m) + s]
+        for s in range(1, n + 2)
+        for v in range(1, m + 1)
+    }
 
 
 def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
     """Carry an induced labeling onto target along iso, re-checking that
     iso matches the edges and that the valence survives the transport."""
-    G = underlying(ind.product)
-    if not edges_match_under(G, target, iso):
+    if not edges_match_under(ind.graph, target, iso):
         raise RuntimeError("product does not match the target under the stated map")
-    lab = transport(G, ind.labeling, iso, target)
+    lab = transport(ind.graph, ind.labeling, iso, target)
     if valence_of(target, lab) != ind.valence:
         raise RuntimeError("transported labeling lost its valence")
     return lab
@@ -448,8 +423,7 @@ def star_product_valences(
             )
             lab = _realize(ind, crown, crown_iso_from_cycle_product(m, n, r))
             found.setdefault(ind.valence, lab)
-        ncyc, _ = normalize_by_labels(cycle_member)
-        star_iso = crown_iso_from_star_product(m, n, ncyc.digraph)
+        star_iso = crown_iso_from_star_product(m, n, normalize_by_labels(cycle_member)[1])
         for r in star_centers:
             ind = induced_labeling_from_em_factors(
                 stars[r], ArcAssignment.constant(cycle_member, n + 1)

@@ -145,6 +145,17 @@ def test_spectrum_writes_no_witnesses_when_the_recheck_fails(files, capsys, tmp_
     assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
 
 
+def test_failed_witnesses_write_names_the_path_as_given(files, capsys, tmp_path):
+    c4 = files("c4.g", C4_TEXT)
+    out = str(tmp_path / "missing" / "x.json")
+    code = main(["spectrum", "--kind", "em", "--witnesses", out, c4])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(out) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
+
+
 def test_internal_faults_exit_with_code_three(files, capsys):
     # the search recurses once per vertex of positive degree, so the
     # 1100 vertices of K1,1099 drive it past the recursion limit
@@ -251,6 +262,15 @@ def test_product_names_the_member_with_another_key(files, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: members do not share a key: member 4 has (2, 3), member 1 has (2, 2)\n"
+
+
+@pytest.mark.parametrize("mode", ["spk", "tq"])
+def test_product_refuses_an_arcless_outer(files, capsys, mode):
+    code = main(["product", "--mode", mode, "--d", files("e.d", "p 0\n"),
+                 "--member", files("cyc.d", CYC_D_TEXT)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

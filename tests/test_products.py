@@ -13,12 +13,12 @@ from edgemagic import (
     CYCLE4_EM_LABELINGS,
     Digraph,
     Graph,
+    InducedProductLabeling,
     LabeledDigraph,
     TotalLabeling,
     bipartition,
     crown_iso_from_cycle_product,
     crown_iso_from_star_product,
-    directed_cycle_order,
     edges_match_under,
     em_factor_key,
     em_spectrum,
@@ -220,6 +220,12 @@ def test_empty_assignments_name_the_arc_count():
         induced_labeling_from_sem_factors(cyc, ArcAssignment(()))
     with pytest.raises(ValueError, match="need one member per arc: 3 arcs, 0 members"):
         induced_labeling_from_em_factors(star_loop_labeling(2, 1), ArcAssignment(()))
+    arcless = LabeledDigraph(Digraph(0, ()), TotalLabeling((), ()))
+    with pytest.raises(ValueError, match="product of an arcless digraph is undefined"):
+        induced_labeling_from_sem_factors(arcless, ArcAssignment(()))
+    # the edge magic route refuses the outer labeling before keying members
+    with pytest.raises(ValueError, match="outer labeling is not super edge magic"):
+        induced_labeling_from_em_factors(arcless, ArcAssignment(()))
 
 
 def test_star_loop_labeling_shape_and_valence():
@@ -249,18 +255,6 @@ def test_orient_cycle_matches_edge_order():
     assert underlying(D).edges == mk_cycle(4).edges
     with pytest.raises(ValueError):
         orient_cycle(2)
-
-
-def test_directed_cycle_order_walks_the_arcs():
-    assert directed_cycle_order(orient_cycle(5)) == [1, 2, 3, 4, 5]
-    shuffled = Digraph(4, ((3, 1), (1, 4), (4, 2), (2, 3)))
-    assert directed_cycle_order(shuffled) == [1, 4, 2, 3]
-    with pytest.raises(ValueError):
-        directed_cycle_order(Digraph(3, ((1, 2), (2, 3))))
-    with pytest.raises(ValueError):
-        directed_cycle_order(Digraph(2, ((1, 2), (1, 2))))
-    with pytest.raises(ValueError):
-        directed_cycle_order(Digraph(4, ((1, 2), (2, 1), (3, 4), (4, 3))))
 
 
 def test_cycle_outer_induced_labeling_valence_formula():
@@ -327,14 +321,42 @@ def test_crown_iso_maps_products_onto_crowns():
     P = tensor_product(orient_cycle(4), [norm.digraph] * 4)
     assert edges_match_under(underlying(P), crown, crown_iso_from_cycle_product(4, 2, 2))
 
-    ncyc, _ = normalize_by_labels(
+    ncyc, member_map = normalize_by_labels(
         LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1])
     )
     star_outer = star_loop_labeling(2, 1)
     P2 = tensor_product(star_outer.digraph, [ncyc.digraph] * 3)
     assert edges_match_under(
-        underlying(P2), crown, crown_iso_from_star_product(4, 2, ncyc.digraph)
+        underlying(P2), crown, crown_iso_from_star_product(4, 2, member_map)
     )
+
+
+def test_star_route_crown_maps_are_frozen():
+    # every em_spectrum witness of C3..C7 renumbered as a member, n = 1..3;
+    # another automorphism of the crown would move the transported
+    # star-route labelings, so the maps themselves are pinned
+    h = hashlib.sha256()
+    cases = 0
+    for m in range(3, 8):
+        for _, w in sorted(em_spectrum(mk_cycle(m)).witnesses.items()):
+            _, member_map = normalize_by_labels(LabeledDigraph(orient_cycle(m), w))
+            for n in (1, 2, 3):
+                iso = crown_iso_from_star_product(m, n, member_map)
+                h.update(repr(sorted(iso.items())).encode())
+                cases += 1
+    assert cases == 78
+    assert h.hexdigest() == "c530614e8c11413bccf7ed73f6920bd14970776e1dce14a0e9fe5dcb224a64d0"
+
+
+def test_induced_labeling_verifies_itself_on_construction():
+    cyc = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[0])
+    ind = induced_labeling_from_sem_factors(
+        cyc, ArcAssignment.constant(star_loop_labeling(1, 1), 4)
+    )
+    assert ind.graph == underlying(ind.product)
+    assert ind == InducedProductLabeling(ind.product, ind.labeling, ind.valence, ind.member_maps)
+    with pytest.raises(RuntimeError, match="induced labeling failed verification"):
+        InducedProductLabeling(ind.product, ind.labeling, ind.valence + 1, ind.member_maps)
 
 
 def test_crown_valence_table_is_the_full_interval():
