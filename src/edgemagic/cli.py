@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 
 from .decomp import (
     Decomposition,
+    _check_copies,
     _is_star_composition,
     build_s2n,
     enumerate_2_decompositions,
@@ -98,7 +99,9 @@ def _load(args: argparse.Namespace, name: str, path: str, parse: Callable[..., A
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _emit(args: argparse.Namespace, result: Any, verified: bool) -> None:
+def _emit(args: argparse.Namespace, result: Any, verified: bool, holds: bool = True) -> int:
+    """Print the certificate and return the exit code: 0 when the payload
+    is verified and the claimed property holds, else 1."""
     cert = {
         "command": " ".join(args.argv),
         "inputs": args.inputs,
@@ -106,6 +109,7 @@ def _emit(args: argparse.Namespace, result: Any, verified: bool) -> None:
         "verified": verified,
     }
     print(json.dumps(cert, sort_keys=True))
+    return EXIT_OK if verified and holds else EXIT_FAIL
 
 
 def _write_atomically(path: str, payload: Any) -> None:
@@ -197,21 +201,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     G = _load(args, "graphfile", args.graphfile, parse_graph)
     f = _load(args, "labelingfile", args.labelingfile, parse_labeling, G.p, G.q)
     k = is_super_edge_magic(G, f) if args.kind == "sem" else valence_of(G, f)
-    if k is None:
-        print("not magic")
-        _emit(args, {"kind": args.kind, "magic": False}, True)
-        return EXIT_FAIL
-    print(f"valence {k}")
-    _emit(args, {"kind": args.kind, "magic": True, "valence": k}, True)
-    return EXIT_OK
+    print("not magic" if k is None else f"valence {k}")
+    result = {"kind": args.kind, "magic": k is not None}
+    if k is not None:
+        result["valence"] = k
+    return _emit(args, result, True, holds=k is not None)
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
     G = _load(args, "graphfile", args.graphfile, parse_graph)
     rep = sem_interval(G) if args.kind == "sem" else em_interval(G)
     verified = _interval_checks(args.kind, G.p, G.q, rep)
-    _emit(args, _interval_json(rep), verified)
-    return EXIT_OK if verified else EXIT_FAIL
+    return _emit(args, _interval_json(rep), verified)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -228,8 +229,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "achieved": list(rep.achieved),
         "perfect": rep.perfect,
     }
-    _emit(args, result, verified)
-    return EXIT_OK if verified else EXIT_FAIL
+    return _emit(args, result, verified)
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
@@ -266,8 +266,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         "verified_valence": verified_valence,
         "super": is_super_edge_magic(ind.graph, ind.labeling) is not None,
     }
-    _emit(args, result, verified)
-    return EXIT_OK if verified else EXIT_FAIL
+    return _emit(args, result, verified)
 
 
 def _cmd_s2n(args: argparse.Namespace) -> int:
@@ -285,6 +284,8 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
         s, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
     else:
         s = build_s2n(G, bip, d, args.n)
+        if not 1 <= args.center <= args.n + 1:
+            raise ValueError(f"center label must lie in 1..{args.n + 1}")
     verified = _is_star_composition(s)
     result: dict[str, Any] = {
         "graph": format_graph(s.graph),
@@ -296,8 +297,7 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
         result["labeling"] = _labeling_json(lab)
         result["valence"] = val
         result["super"] = is_super_edge_magic(s.graph, lab) is not None
-    _emit(args, result, verified)
-    return EXIT_OK if verified else EXIT_FAIL
+    return _emit(args, result, verified)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -305,6 +305,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     bip = bipartition(G)
     if bip is None:
         raise ValueError("graph is not bipartite")
+    _check_copies(G.p, args.n)
     count = 0
     good = 0
     for d in enumerate_2_decompositions(G, args.include_empty, args.cap):
@@ -319,8 +320,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(json.dumps(line, sort_keys=True))
     verified = good == count
     result = {"splits": count, "verified_splits": good, "n": args.n}
-    _emit(args, result, verified)
-    return EXIT_OK if verified else EXIT_FAIL
+    return _emit(args, result, verified)
 
 
 def _repro_c4_spectrum() -> tuple[dict[str, Any], bool]:
@@ -399,9 +399,7 @@ _REPROS = {
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    result, ok = _REPROS[args.example_id]()
-    _emit(args, result, ok)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(args, *_REPROS[args.example_id]())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -127,19 +127,19 @@ def orient_for_decomposition(G: Graph, bip: Bipartition, d: Decomposition) -> Di
 
 @dataclass(frozen=True)
 class S2nGraph:
-    """A split doubling with its building data and vertex roles.
+    """A split doubling with its orientation and vertex roles.
 
-    Vertices 1..p are the originals; copy block k occupies k*p+1 ..
-    (k+1)*p, X copies (in sorted original order) before Y copies.  Edges
-    start with the base edges in order, then for each copy level k the
-    level's cross edges in base edge order.  roles holds one (side,
-    level) pair per vertex, level 0 meaning original; offsets[v-1] is
-    the position of original v's copy inside every copy block.
+    orientation is the split's orient_for_decomposition digraph, which
+    the doubling composes with a star.  Vertices 1..p are the originals;
+    copy block k occupies k*p+1 .. (k+1)*p, X copies (sorted) before Y
+    copies.  Edges start with the base edges in order, then for each
+    copy level k the level's cross edges in base edge order.  roles holds
+    one (side, level) pair per vertex, level 0 meaning original;
+    offsets[v-1] is the position of original v's copy in every block.
     """
 
     base: Graph
-    parts: Bipartition
-    split: Decomposition
+    orientation: Digraph
     n: int
     graph: Graph
     roles: tuple[tuple[str, int], ...]
@@ -154,6 +154,14 @@ class S2nGraph:
         return k * self.base.p + self.offsets[v - 1]
 
 
+def _check_copies(p: int, n: int) -> None:
+    """Refuse a copy count that builds no doubling of a p-vertex graph."""
+    if n < 1:
+        raise ValueError("need at least one copy")
+    if p * (n + 1) > _MAX_VERTICES:
+        raise ValueError(f"the doubling would have {p * (n + 1)} vertices, above {_MAX_VERTICES}")
+
+
 def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
     """Construct the split doubling of G for the given split and copy count.
 
@@ -161,25 +169,21 @@ def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
     copy level k, arc a -> b of orient_for_decomposition adds the edge
     from original a to copy k of b.
     """
-    if n < 1:
-        raise ValueError("need at least one copy")
-    if G.p * (n + 1) > _MAX_VERTICES:
-        raise ValueError(f"the doubling would have {G.p * (n + 1)} vertices, above {_MAX_VERTICES}")
+    _check_copies(G.p, n)
     if not G.is_simple():
         raise ValueError("doubling needs a simple graph")
-    arcs = orient_for_decomposition(G, bip, d).arcs
+    D = orient_for_decomposition(G, bip, d)
     xs, ys = sorted(bip.X), sorted(bip.Y)
     offsets = [0] * G.p
     for i, v in enumerate(xs + ys, start=1):
         offsets[v - 1] = i
-    edges = G.edges + tuple((a, k * G.p + offsets[b - 1]) for k in range(1, n + 1) for a, b in arcs)
+    edges = G.edges + tuple((a, k * G.p + offsets[b - 1]) for k in range(1, n + 1) for a, b in D.arcs)
     roles = [("x", 0) if v in bip.X else ("y", 0) for v in range(1, G.p + 1)]
     for k in range(1, n + 1):
         roles += [("x", k)] * len(xs) + [("y", k)] * len(ys)
     return S2nGraph(
         base=G,
-        parts=bip,
-        split=d,
+        orientation=D,
         n=n,
         graph=Graph(G.p * (n + 1), edges),
         roles=tuple(roles),
@@ -213,9 +217,8 @@ def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool
 
 
 def _is_star_composition(s: S2nGraph) -> bool:
-    D = orient_for_decomposition(s.base, s.parts, s.split)
     star = Digraph(s.n + 1, tuple((1, j) for j in range(1, s.n + 2)))
-    prod = tensor_product(D, (star,) * s.base.q)
+    prod = tensor_product(s.orientation, (star,) * s.base.q)
     return edges_match_under(underlying(prod), s.graph, s2n_iso_map(s, 1))
 
 
@@ -237,7 +240,7 @@ def induced_s2n_labeling(
     if valence_of(G, f) is None:
         raise ValueError("base labeling is not edge magic")
     s = build_s2n(G, bip, d, n)
-    outer = LabeledDigraph(orient_for_decomposition(G, bip, d), f)
+    outer = LabeledDigraph(s.orientation, f)
     star = star_loop_labeling(n, r)
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
     lab = _realize(ind, s.graph, s2n_iso_map(s, r))

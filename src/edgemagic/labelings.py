@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidLabelingError, ParseError
-from .graphs import Graph, _records
+from .graphs import Digraph, Graph, _records, edges_match_under
 
 __all__ = [
     "TotalLabeling",
@@ -58,8 +58,9 @@ class TotalLabeling:
         return self.edge_labels[i - 1]
 
 
-def check_total_labeling(G: Graph, f: TotalLabeling) -> None:
-    """Raise InvalidLabelingError unless f is a bijection onto 1..p+q for G."""
+def check_total_labeling(G: Graph | Digraph, f: TotalLabeling) -> None:
+    """Raise InvalidLabelingError unless f is a bijection onto 1..p+q for G;
+    only G's counts are read, so a digraph needs no underlying graph."""
     if f.p != G.p or f.q != G.q:
         raise InvalidLabelingError(
             f"labeling shape ({f.p} vertices, {f.q} edges) does not match graph ({G.p}, {G.q})"
@@ -148,19 +149,15 @@ def complement(G: Graph, f: TotalLabeling) -> TotalLabeling:
 def transport(src: Graph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: Graph) -> TotalLabeling:
     """Carry a labeling of src over to dst along a vertex bijection.
 
-    The map must send every edge of src onto an edge of dst.  Both graphs
+    The edges match through edges_match_under, one to one.  Both graphs
     must have pairwise distinct endpoint pairs (loops are fine, parallel
     edges are not) so the edge correspondence is unambiguous.
     """
     check_total_labeling(src, f)
-    if (src.p, src.q) != (dst.p, dst.q):
-        raise ValueError("graphs must share vertex and edge counts")
-    if sorted(vertex_map) != list(range(1, src.p + 1)) or sorted(vertex_map.values()) != list(
-        range(1, dst.p + 1)
-    ):
-        raise ValueError("vertex_map must be a bijection between the vertex sets")
     if len(set(src.edges)) != src.q or len(set(dst.edges)) != dst.q:
         raise ValueError("transport needs pairwise distinct edge pairs on both sides")
+    if not edges_match_under(src, dst, vertex_map):
+        raise ValueError("vertex_map does not carry the source's edges onto the target's")
     pos = {e: i for i, e in enumerate(dst.edges)}
     vl = [0] * dst.p
     for v in range(1, src.p + 1):
@@ -168,10 +165,7 @@ def transport(src: Graph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: 
     el = [0] * dst.q
     for i, (u, v) in enumerate(src.edges):
         a, b = vertex_map[u], vertex_map[v]
-        key = (a, b) if a <= b else (b, a)
-        if key not in pos:
-            raise ValueError(f"edge ({u}, {v}) of the source has no image edge in the target")
-        el[pos[key]] = f.edge_labels[i]
+        el[pos[(a, b) if a <= b else (b, a)]] = f.edge_labels[i]
     return TotalLabeling(tuple(vl), tuple(el))
 
 

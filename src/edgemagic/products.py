@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .graphs import Digraph, Graph, mk_crown, underlying, edges_match_under
+from .graphs import Digraph, Graph, mk_crown, underlying
 from .labelings import (
     TotalLabeling,
     check_total_labeling,
@@ -73,7 +73,7 @@ class LabeledDigraph:
     labeling: TotalLabeling
 
     def __post_init__(self) -> None:
-        check_total_labeling(underlying(self.digraph), self.labeling)
+        check_total_labeling(self.digraph, self.labeling)
 
 
 @dataclass(frozen=True)
@@ -383,11 +383,12 @@ def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> di
 
 
 def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
-    """Carry an induced labeling onto target along iso, re-checking that
-    iso matches the edges and that the valence survives the transport."""
-    if not edges_match_under(ind.graph, target, iso):
-        raise RuntimeError("product does not match the target under the stated map")
-    lab = transport(ind.graph, ind.labeling, iso, target)
+    """Carry an induced labeling onto target along iso, which transport
+    matches edge by edge, re-checking that the valence survives."""
+    try:
+        lab = transport(ind.graph, ind.labeling, iso, target)
+    except ValueError:
+        raise RuntimeError("product does not match the target under the stated map") from None
     if valence_of(target, lab) != ind.valence:
         raise RuntimeError("transported labeling lost its valence")
     return lab

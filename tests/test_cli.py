@@ -7,7 +7,9 @@ import json
 import pytest
 
 from edgemagic import (
+    Decomposition,
     TotalLabeling,
+    bipartition,
     first_em_labeling,
     format_graph,
     format_labeling,
@@ -375,6 +377,35 @@ def test_s2n_builds_the_doubling_once(files, capsys, monkeypatch):
     assert _last_cert(capsys)[1]["result"]["iso_verified"] is True
 
 
+def test_each_doubling_is_oriented_once(files, capsys, monkeypatch):
+    import edgemagic.decomp as decomp
+
+    calls = []
+    orient = decomp.orient_for_decomposition
+
+    def counted(*args):
+        calls.append(args)
+        return orient(*args)
+
+    monkeypatch.setattr(decomp, "orient_for_decomposition", counted)
+    G = mk_cycle(4)
+    bip = bipartition(G)
+    d = Decomposition(G, frozenset({1, 2}), frozenset({3, 4}))
+    alpha = TotalLabeling((1, 6, 2, 3), (5, 4, 7, 8))
+    c4 = files("c4.g", C4_TEXT)
+    lab = files("alpha.lab", ALPHA_TEXT)
+    runs = {
+        "induced_s2n_labeling": lambda: decomp.induced_s2n_labeling(G, bip, d, 2, alpha, 1),
+        "verify_s2n_iso": lambda: decomp.verify_s2n_iso(G, bip, d, 2),
+        "s2n --labeling": lambda: main(["s2n", "--graph", c4, "--h1", "1,2", "--n", "2",
+                                        "--labeling", lab]) == 0,
+    }
+    for name, run in runs.items():
+        calls.clear()
+        assert run(), name
+        assert len(calls) == 1, (name, len(calls))
+
+
 def test_s2n_input_errors(files, capsys):
     c3 = files("c3.g", "p 3\ne 1 2\ne 2 3\ne 1 3\n")
     assert main(["s2n", "--graph", c3, "--h1", "1"]) == 2
@@ -385,6 +416,29 @@ def test_s2n_input_errors(files, capsys):
     assert main(["s2n", "--graph", c4, "--h1", " "]) == 2
     assert main(["s2n", "--graph", c4, "--h1", "1,1,2"]) == 2
     assert "twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("center", ["99", "-3"])
+def test_s2n_refuses_a_center_outside_the_star(files, capsys, center):
+    c4 = files("c4.g", C4_TEXT)
+    assert main(["s2n", "--graph", c4, "--h1", "1,2", "--n", "2", "--center", center]) == 2
+    assert capsys.readouterr().err == "error: center label must lie in 1..3\n"
+    assert main(["s2n", "--graph", c4, "--h1", "1,2", "--center", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "n, err",
+    [
+        ("-5", "need at least one copy"),
+        ("0", "need at least one copy"),
+        ("2000000", "the doubling would have 4000002 vertices, above 1000000"),
+    ],
+)
+def test_decompose_refuses_a_bad_copy_count_without_splits(files, capsys, n, err):
+    k2 = files("k2.g", "p 2\ne 1 2\n")
+    assert main(["decompose", "--graph", k2, "--enumerate", "--n", n]) == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr == f"error: {err}\n"
 
 
 def test_decompose_streams_verdicts(files, capsys):

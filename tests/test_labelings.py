@@ -118,8 +118,12 @@ def test_transport_carries_labels_along_isomorphism():
 def test_transport_rejects_non_edge_preserving_maps():
     G = mk_cycle(4)
     H = Graph(4, ((1, 2), (2, 3), (3, 4), (2, 4)))
-    with pytest.raises(ValueError):
-        transport(G, ALPHA, {1: 1, 2: 2, 3: 3, 4: 4}, H)
+    for dst, vertex_map in (
+        (H, {1: 1, 2: 2, 3: 3, 4: 4}),
+        (G, {1: 1, 2: 2, 3: 1, 4: 4}),  # not a bijection
+    ):
+        with pytest.raises(ValueError):
+            transport(G, ALPHA, vertex_map, dst)
 
 
 def test_parse_labeling_round_trip_and_errors():

@@ -14,6 +14,7 @@ from edgemagic import (
     Digraph,
     Graph,
     InducedProductLabeling,
+    InvalidLabelingError,
     LabeledDigraph,
     TotalLabeling,
     bipartition,
@@ -117,6 +118,18 @@ def test_normalized_sem_member_has_index_equal_to_label():
         for r in range(1, n + 2):
             norm, _ = normalize_by_labels(star_loop_labeling(n, r))
             assert norm.labeling.vertex_labels == tuple(range(1, n + 2))
+
+
+@pytest.mark.parametrize(
+    "labeling",
+    [
+        TotalLabeling((1, 2, 3), (4, 5, 6, 7, 8)),  # 3 vertices and 5 arcs
+        TotalLabeling((1, 1, 2, 3), (4, 5, 6, 7)),  # label 1 twice, 8 missing
+    ],
+)
+def test_labeled_digraph_refuses_invalid_labelings(labeling):
+    with pytest.raises(InvalidLabelingError):
+        LabeledDigraph(orient_cycle(4), labeling)
 
 
 def test_sem_factor_key_is_vertex_count_and_least_sum():
