@@ -48,7 +48,6 @@ from .graphs import (
     mk_cycle,
     mk_star_with_loop,
     parse_graph,
-    underlying,
 )
 from .intervals import IntervalReport, em_interval, sem_interval
 from .labelings import (
@@ -243,20 +242,19 @@ def _cmd_product(args: argparse.Namespace) -> int:
     else:
         raise ValueError("several members need an --assign file")
 
-    outer_graph = underlying(outer.digraph)
     if args.mode == "spk":
         ind = induced_labeling_from_sem_factors(outer, assignment)
         pm, k = sem_factor_key(assignment.members[0])
-        outer_valence = valence_of(outer_graph, outer.labeling)
+        outer_valence = valence_of(outer.digraph, outer.labeling)
         predicted = pm * (outer_valence - 3) + k + pm
     else:
         ind = induced_labeling_from_em_factors(outer, assignment)
         member = assignment.members[0]
         qm, sigma, _ = em_factor_key(member)
-        kmin = min(induced_sums(outer_graph, outer.labeling.vertex_labels))
+        kmin = min(induced_sums(outer.digraph, outer.labeling.vertex_labels))
         predicted = (member.digraph.p + qm) * (kmin + outer.digraph.p - 3) + sigma
 
-    verified_valence = valence_of(ind.graph, ind.labeling)
+    verified_valence = valence_of(ind.product, ind.labeling)
     verified = verified_valence == ind.valence == predicted
     result = {
         "mode": args.mode,
@@ -264,7 +262,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         "labeling": _labeling_json(ind.labeling),
         "predicted_valence": predicted,
         "verified_valence": verified_valence,
-        "super": is_super_edge_magic(ind.graph, ind.labeling) is not None,
+        "super": is_super_edge_magic(ind.product, ind.labeling) is not None,
     }
     return _emit(args, result, verified)
 

@@ -34,7 +34,6 @@ from .graphs import (
     bipartition,
     check_bipartition,
     edges_match_under,
-    underlying,
 )
 from .labelings import TotalLabeling, is_super_edge_magic, valence_of
 from .products import (
@@ -219,7 +218,7 @@ def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool
 def _is_star_composition(s: S2nGraph) -> bool:
     star = Digraph(s.n + 1, tuple((1, j) for j in range(1, s.n + 2)))
     prod = tensor_product(s.orientation, (star,) * s.base.q)
-    return edges_match_under(underlying(prod), s.graph, s2n_iso_map(s, 1))
+    return edges_match_under(prod, s.graph, s2n_iso_map(s, 1))
 
 
 def induced_s2n_labeling(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import index
 
 from .errors import ParseError
 
@@ -40,7 +41,7 @@ def _checked_pairs(p: int, pairs: Iterable[tuple[int, int]], what: str) -> tuple
     out = []
     for pair in pairs:
         u, v = pair
-        u, v = int(u), int(v)
+        u, v = index(u), index(v)
         if not (1 <= u <= p and 1 <= v <= p):
             raise ValueError(f"{what} ({u}, {v}) out of range for p={p}")
         out.append((u, v))
@@ -208,8 +209,13 @@ def underlying(D: Digraph) -> Graph:
     return Graph(D.p, D.arcs)
 
 
-def edges_match_under(src: Graph, dst: Graph, vertex_map: Mapping[int, int]) -> bool:
-    """True when vertex_map is a bijection carrying src's edge multiset onto dst's."""
+def _pairs(G: Graph | Digraph) -> tuple[tuple[int, int], ...]:
+    """Endpoint pairs in order: a digraph's arcs, a graph's edges."""
+    return G.arcs if isinstance(G, Digraph) else G.edges
+
+
+def edges_match_under(src: Graph | Digraph, dst: Graph, vertex_map: Mapping[int, int]) -> bool:
+    """True when vertex_map is a bijection carrying src's edge multiset (arcs unordered) onto dst's."""
     if src.p != dst.p or src.q != dst.q:
         return False
     if sorted(vertex_map) != list(range(1, src.p + 1)):
@@ -217,7 +223,7 @@ def edges_match_under(src: Graph, dst: Graph, vertex_map: Mapping[int, int]) -> 
     if sorted(vertex_map.values()) != list(range(1, dst.p + 1)):
         return False
     mapped = Counter(
-        (a, b) if (a := vertex_map[u]) <= (b := vertex_map[v]) else (b, a) for u, v in src.edges
+        (a, b) if (a := vertex_map[u]) <= (b := vertex_map[v]) else (b, a) for u, v in _pairs(src)
     )
     return mapped == Counter(dst.edges)
 

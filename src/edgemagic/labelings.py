@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvalidLabelingError, ParseError
-from .graphs import Digraph, Graph, _records, edges_match_under
+from .graphs import Digraph, Graph, _pairs, _records, edges_match_under
 
 __all__ = [
     "TotalLabeling",
@@ -40,8 +41,8 @@ class TotalLabeling:
     edge_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_labels", tuple(int(x) for x in self.vertex_labels))
-        object.__setattr__(self, "edge_labels", tuple(int(x) for x in self.edge_labels))
+        object.__setattr__(self, "vertex_labels", tuple(map(index, self.vertex_labels)))
+        object.__setattr__(self, "edge_labels", tuple(map(index, self.edge_labels)))
 
     @property
     def p(self) -> int:
@@ -52,15 +53,19 @@ class TotalLabeling:
         return len(self.edge_labels)
 
     def label_of_vertex(self, v: int) -> int:
+        if not 1 <= v <= self.p:
+            raise ValueError(f"vertex {v} out of range")
         return self.vertex_labels[v - 1]
 
     def label_of_edge(self, i: int) -> int:
+        if not 1 <= i <= self.q:
+            raise ValueError(f"edge {i} out of range")
         return self.edge_labels[i - 1]
 
 
 def check_total_labeling(G: Graph | Digraph, f: TotalLabeling) -> None:
     """Raise InvalidLabelingError unless f is a bijection onto 1..p+q for G;
-    only G's counts are read, so a digraph needs no underlying graph."""
+    only G's counts are read, so a digraph is checked as it stands."""
     if f.p != G.p or f.q != G.q:
         raise InvalidLabelingError(
             f"labeling shape ({f.p} vertices, {f.q} edges) does not match graph ({G.p}, {G.q})"
@@ -70,50 +75,42 @@ def check_total_labeling(G: Graph | Digraph, f: TotalLabeling) -> None:
         raise InvalidLabelingError(f"labels are not a bijection onto 1..{total}")
 
 
-def check_vertex_labeling(G: Graph, g: Sequence[int]) -> None:
+def check_vertex_labeling(G: Graph | Digraph, g: Sequence[int]) -> None:
     """Raise InvalidLabelingError unless g is a bijection of the vertices onto 1..p."""
     if len(g) != G.p or sorted(g) != list(range(1, G.p + 1)):
         raise InvalidLabelingError(f"vertex labels are not a bijection onto 1..{G.p}")
 
 
-def valence_of(G: Graph, f: TotalLabeling) -> int | None:
-    """The constant edge sum of f on G, or None when the sums differ.
+def valence_of(G: Graph | Digraph, f: TotalLabeling) -> int | None:
+    """The constant edge sum of f on G, or None when the sums differ; a
+    digraph's arc i is edge i, its direction ignored.
 
     Invalid labelings (wrong shape, not a bijection) raise rather than
     returning None, so callers can tell "not magic" from "not a labeling".
     Graphs without edges have no valence.
     """
     check_total_labeling(G, f)
-    if G.q == 0:
-        return None
-    k = None
-    for i, (u, v) in enumerate(G.edges):
-        s = f.vertex_labels[u - 1] + f.vertex_labels[v - 1] + f.edge_labels[i]
-        if k is None:
-            k = s
-        elif s != k:
-            return None
-    return k
+    vl, el = f.vertex_labels, f.edge_labels
+    sums = {vl[u - 1] + vl[v - 1] + el[i] for i, (u, v) in enumerate(_pairs(G))}
+    return sums.pop() if len(sums) == 1 else None
 
 
-def is_super_edge_magic(G: Graph, f: TotalLabeling) -> int | None:
+def is_super_edge_magic(G: Graph | Digraph, f: TotalLabeling) -> int | None:
     """The valence of f when f is edge magic with vertex labels 1..p, else None."""
     k = valence_of(G, f)
-    if k is None:
-        return None
-    if sorted(f.vertex_labels) != list(range(1, G.p + 1)):
+    if k is None or sorted(f.vertex_labels) != list(range(1, G.p + 1)):
         return None
     return k
 
 
-def induced_sums(G: Graph, g: Sequence[int]) -> tuple[int, ...]:
+def induced_sums(G: Graph | Digraph, g: Sequence[int]) -> tuple[int, ...]:
     """Endpoint label sums g(u) + g(v), one per edge in edge order."""
     if len(g) != G.p:
         raise InvalidLabelingError(f"expected {G.p} vertex labels, got {len(g)}")
-    return tuple(g[u - 1] + g[v - 1] for u, v in G.edges)
+    return tuple(g[u - 1] + g[v - 1] for u, v in _pairs(G))
 
 
-def extend_vertex_labeling(G: Graph, g: Sequence[int]) -> TotalLabeling | None:
+def extend_vertex_labeling(G: Graph | Digraph, g: Sequence[int]) -> TotalLabeling | None:
     """Complete a vertex labeling to a super edge magic labeling if possible.
 
     Works when the endpoint sums are q distinct consecutive integers: the
@@ -146,15 +143,18 @@ def complement(G: Graph, f: TotalLabeling) -> TotalLabeling:
     )
 
 
-def transport(src: Graph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: Graph) -> TotalLabeling:
+def transport(
+    src: Graph | Digraph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: Graph
+) -> TotalLabeling:
     """Carry a labeling of src over to dst along a vertex bijection.
 
-    The edges match through edges_match_under, one to one.  Both graphs
-    must have pairwise distinct endpoint pairs (loops are fine, parallel
-    edges are not) so the edge correspondence is unambiguous.
+    The edges match through edges_match_under, one to one, a digraph's
+    arcs as unordered pairs.  Both sides must have pairwise distinct
+    unordered endpoint pairs (loops are fine; parallel edges and arcs
+    u->v beside v->u are not) so the edge correspondence is unambiguous.
     """
     check_total_labeling(src, f)
-    if len(set(src.edges)) != src.q or len(set(dst.edges)) != dst.q:
+    if len(set(map(frozenset, _pairs(src)))) != src.q or len(set(dst.edges)) != dst.q:
         raise ValueError("transport needs pairwise distinct edge pairs on both sides")
     if not edges_match_under(src, dst, vertex_map):
         raise ValueError("vertex_map does not carry the source's edges onto the target's")
@@ -163,7 +163,7 @@ def transport(src: Graph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: 
     for v in range(1, src.p + 1):
         vl[vertex_map[v] - 1] = f.vertex_labels[v - 1]
     el = [0] * dst.q
-    for i, (u, v) in enumerate(src.edges):
+    for i, (u, v) in enumerate(_pairs(src)):
         a, b = vertex_map[u], vertex_map[v]
         el[pos[(a, b) if a <= b else (b, a)]] = f.edge_labels[i]
     return TotalLabeling(tuple(vl), tuple(el))

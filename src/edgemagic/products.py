@@ -30,10 +30,10 @@ valence ranges, which is how the crown valence tables are assembled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import Digraph, Graph, mk_crown, underlying
+from .graphs import Digraph, Graph, mk_crown
 from .labelings import (
     TotalLabeling,
     check_total_labeling,
@@ -67,7 +67,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledDigraph:
-    """A digraph whose underlying graph carries a total labeling."""
+    """A digraph carrying a total labeling, arc i labeled as edge i."""
 
     digraph: Digraph
     labeling: TotalLabeling
@@ -97,19 +97,16 @@ class InducedProductLabeling:
 
     member_maps records, per outer arc, the renumbering applied to that
     arc's member before composing: entry v-1 holds the new index of
-    member vertex v.  Construction sets graph to the underlying graph of
-    product and checks the valence on it.
+    member vertex v.  Construction checks the valence on product's arcs.
     """
 
     product: Digraph
     labeling: TotalLabeling
     valence: int
     member_maps: tuple[tuple[int, ...], ...]
-    graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "graph", underlying(self.product))
-        if valence_of(self.graph, self.labeling) != self.valence:
+        if valence_of(self.product, self.labeling) != self.valence:
             raise RuntimeError("induced labeling failed verification")
 
 
@@ -176,12 +173,12 @@ def sem_factor_key(member: LabeledDigraph) -> tuple[int, int]:
     interchangeably in induced_labeling_from_sem_factors exactly when
     their keys agree.
     """
-    G = underlying(member.digraph)
-    if G.q != G.p:
+    D = member.digraph
+    if D.q != D.p:
         raise ValueError("member needs as many arcs as vertices")
-    if is_super_edge_magic(G, member.labeling) is None:
+    if is_super_edge_magic(D, member.labeling) is None:
         raise ValueError("member labeling is not super edge magic")
-    return (G.p, min(induced_sums(G, member.labeling.vertex_labels)))
+    return (D.p, min(induced_sums(D, member.labeling.vertex_labels)))
 
 
 def em_factor_key(member: LabeledDigraph) -> tuple[int, int, frozenset[int]]:
@@ -190,11 +187,10 @@ def em_factor_key(member: LabeledDigraph) -> tuple[int, int, frozenset[int]]:
     Two members compose interchangeably in
     induced_labeling_from_em_factors exactly when their keys agree.
     """
-    G = underlying(member.digraph)
-    v = valence_of(G, member.labeling)
+    v = valence_of(member.digraph, member.labeling)
     if v is None:
         raise ValueError("member labeling is not edge magic")
-    return (G.q, v, frozenset(member.labeling.vertex_labels))
+    return (member.digraph.q, v, frozenset(member.labeling.vertex_labels))
 
 
 def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
@@ -242,7 +238,7 @@ def induced_labeling_from_sem_factors(
     """
     D = outer.digraph
     (p_m, k), normalized = _common_key(D, assignment, sem_factor_key)
-    v = valence_of(underlying(D), outer.labeling)
+    v = valence_of(D, outer.labeling)
     if v is None:
         raise ValueError("outer labeling is not edge magic")
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
@@ -278,16 +274,15 @@ def induced_labeling_from_em_factors(
     (pm + q)*(smax - 2) + sigma where smax is the largest outer sum.
     """
     D = outer.digraph
-    GD = underlying(D)
-    if GD.q != GD.p:
+    if D.q != D.p:
         raise ValueError("outer digraph needs as many arcs as vertices")
-    if is_super_edge_magic(GD, outer.labeling) is None:
+    if is_super_edge_magic(D, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
     (q_m, sigma, vset), normalized = _common_key(D, assignment, em_factor_key)
     p_m = len(vset)
     total = p_m + q_m
     g = outer.labeling.vertex_labels
-    smax = max(induced_sums(GD, g))
+    smax = max(induced_sums(D, g))
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
     common = sorted(vset)
     vlabs = [0] * product.p
@@ -322,7 +317,7 @@ def star_loop_labeling(n: int, r: int) -> LabeledDigraph:
         raise ValueError(f"center label must lie in 1..{n + 1}")
     D = Digraph(n + 1, tuple((1, j) for j in range(1, n + 2)))
     leaf_labels = [x for x in range(1, n + 2) if x != r]
-    f = extend_vertex_labeling(underlying(D), (r, *leaf_labels))
+    f = extend_vertex_labeling(D, (r, *leaf_labels))
     if f is None:
         raise RuntimeError("star with loop sums were not consecutive")
     return LabeledDigraph(D, f)
@@ -386,7 +381,7 @@ def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) ->
     """Carry an induced labeling onto target along iso, which transport
     matches edge by edge, re-checking that the valence survives."""
     try:
-        lab = transport(ind.graph, ind.labeling, iso, target)
+        lab = transport(ind.product, ind.labeling, iso, target)
     except ValueError:
         raise RuntimeError("product does not match the target under the stated map") from None
     if valence_of(target, lab) != ind.valence:
@@ -416,7 +411,7 @@ def star_product_valences(
     found: dict[int, TotalLabeling] = {}
     for L in cycle_labelings:
         cycle_member = LabeledDigraph(cyc, L)
-        if valence_of(underlying(cyc), L) is None:
+        if valence_of(cyc, L) is None:
             raise ValueError("cycle labeling is not edge magic")
         for r, star in stars.items():
             ind = induced_labeling_from_sem_factors(

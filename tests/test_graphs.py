@@ -1,6 +1,8 @@
 """Graph and digraph containers, builders, bipartition, text round trips."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from edgemagic import (
@@ -36,6 +38,14 @@ def test_out_of_range_endpoints_rejected():
         Digraph(2, ((0, 1),))
     with pytest.raises(ValueError):
         Graph(-1, ())
+
+
+def test_non_integer_endpoints_rejected():
+    for bad in (1.9, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            Graph(3, ((bad, 2), (2, 3)))
+        with pytest.raises(TypeError):
+            Digraph(3, ((2, 3), (1, bad)))
 
 
 def test_degree_counts_loops_twice():

@@ -1,11 +1,14 @@
 """Total labelings: verification, extension, complement, transport, text."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemagic import (
+    Digraph,
     Graph,
     InvalidLabelingError,
     ParseError,
@@ -13,6 +16,7 @@ from edgemagic import (
     check_total_labeling,
     check_vertex_labeling,
     complement,
+    edges_match_under,
     extend_vertex_labeling,
     format_labeling,
     induced_sums,
@@ -32,6 +36,21 @@ def test_total_labeling_exposes_lookups():
     assert ALPHA.p == 4 and ALPHA.q == 4
     assert ALPHA.label_of_vertex(2) == 6
     assert ALPHA.label_of_edge(3) == 7
+    assert ALPHA.label_of_vertex(4) == 3 and ALPHA.label_of_edge(4) == 8
+    for v in (0, -1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            ALPHA.label_of_vertex(v)
+        with pytest.raises(ValueError, match="out of range"):
+            ALPHA.label_of_edge(v)
+
+
+def test_total_labeling_refuses_non_integer_labels():
+    assert TotalLabeling((True, 2), (3,)).vertex_labels == (1, 2)
+    for bad in (1.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            TotalLabeling((1, bad, 3), (4, 5))
+        with pytest.raises(TypeError):
+            TotalLabeling((1, 2, 3), (4, bad))
 
 
 def test_check_total_labeling_accepts_bijections_only():
@@ -126,6 +145,24 @@ def test_transport_rejects_non_edge_preserving_maps():
             transport(G, ALPHA, vertex_map, dst)
 
 
+def test_transport_refuses_parallel_pairs():
+    distinct = "transport needs pairwise distinct edge pairs on both sides"
+    f = TotalLabeling((1, 2, 3), (4, 5, 6))
+    triangle = Graph(3, ((1, 2), (2, 3), (1, 3)))
+    ident = {1: 1, 2: 2, 3: 3}
+    # a repeated edge in a graph source, listed both ways round
+    with pytest.raises(ValueError, match=distinct):
+        transport(Graph(3, ((1, 2), (2, 3), (2, 1))), f, ident, triangle)
+    # arcs u->v and v->u are one unordered pair, refused the same way
+    with pytest.raises(ValueError, match=distinct):
+        transport(Digraph(3, ((1, 2), (2, 3), (2, 1))), f, ident, triangle)
+    # a repeated edge in the target
+    with pytest.raises(ValueError, match=distinct):
+        transport(triangle, f, ident, Graph(3, ((1, 2), (2, 3), (2, 3))))
+    # arcs with distinct unordered pairs transport as the triangle does
+    assert transport(Digraph(3, ((2, 1), (3, 2), (1, 3))), f, ident, triangle) == f
+
+
 def test_parse_labeling_round_trip_and_errors():
     text = format_labeling(ALPHA)
     assert parse_labeling(text, 4, 4) == ALPHA
@@ -147,28 +184,36 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_exa
 
 @st.composite
 def relabeled_graphs(draw):
-    """A graph with distinct endpoint pairs (loops allowed), a total
-    labeling of it, and a vertex bijection onto a copy whose edge list is
-    renamed along the bijection and listed in another order."""
+    """A graph with distinct endpoint pairs (loops allowed), the digraph
+    whose arcs are the drawn pairs, a total labeling of both, and a vertex
+    bijection onto a copy whose edge list is renamed along the bijection
+    and listed in another order."""
     p = draw(st.integers(1, 7))
     vertex = st.integers(1, p)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=10, unique_by=lambda e: frozenset(e)))
     src = Graph(p, tuple(pairs))
+    arcs = Digraph(p, tuple(pairs))
     labels = draw(st.permutations(range(1, p + src.q + 1)))
     f = TotalLabeling(tuple(labels[:p]), tuple(labels[p:]))
     image = draw(st.permutations(range(1, p + 1)))
     vertex_map = {v: image[v - 1] for v in range(1, p + 1)}
     order = draw(st.permutations(src.edges))
     dst = Graph(p, tuple((vertex_map[u], vertex_map[v]) for u, v in order))
-    return src, f, vertex_map, dst
+    return src, arcs, f, vertex_map, dst
 
 
 @DETERMINISTIC
 @given(relabeled_graphs())
 def test_transport_there_and_back_is_the_identity(case):
-    src, f, vertex_map, dst = case
+    src, arcs, f, vertex_map, dst = case
     g = transport(src, f, vertex_map, dst)
     assert all(g.vertex_labels[vertex_map[v] - 1] == f.vertex_labels[v - 1] for v in vertex_map)
     assert valence_of(dst, g) == valence_of(src, f)
     back = {w: v for v, w in vertex_map.items()}
     assert transport(dst, g, back, src) == f
+    # the drawn pairs read as arcs give every answer the graph gives
+    assert transport(arcs, f, vertex_map, dst) == g
+    assert valence_of(arcs, f) == valence_of(src, f)
+    assert induced_sums(arcs, f.vertex_labels) == induced_sums(src, f.vertex_labels)
+    for m in (vertex_map, {v: v for v in vertex_map}):
+        assert edges_match_under(arcs, dst, m) == edges_match_under(src, dst, m)

@@ -366,7 +366,6 @@ def test_induced_labeling_verifies_itself_on_construction():
     ind = induced_labeling_from_sem_factors(
         cyc, ArcAssignment.constant(star_loop_labeling(1, 1), 4)
     )
-    assert ind.graph == underlying(ind.product)
     assert ind == InducedProductLabeling(ind.product, ind.labeling, ind.valence, ind.member_maps)
     with pytest.raises(RuntimeError, match="induced labeling failed verification"):
         InducedProductLabeling(ind.product, ind.labeling, ind.valence + 1, ind.member_maps)
