@@ -218,7 +218,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     G = _load(args, "graphfile", args.graphfile, parse_graph)
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
     recheck = is_super_edge_magic if args.kind == "sem" else valence_of
-    verified = all(recheck(G, w) == k for k, w in rep.witnesses.items())
+    verified = _interval_checks(args.kind, G.p, G.q, rep.interval) and all(
+        recheck(G, w) == k for k, w in rep.witnesses.items()
+    )
     if args.witnesses and verified:
         payload = {str(k): _labeling_json(w) for k, w in sorted(rep.witnesses.items())}
         _write_atomically(args.witnesses, payload)
@@ -271,7 +273,7 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
     G = _load(args, "graph", args.graph, parse_graph)
     bip = bipartition(G)
     if bip is None:
-        raise ValueError("graph is not bipartite")
+        raise ValueError(f"{args.graph}: graph is not bipartite")
     part1 = _parse_indices(args.h1)
     full = frozenset(range(1, G.q + 1))
     if not part1 <= full:
@@ -302,7 +304,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     G = _load(args, "graph", args.graph, parse_graph)
     bip = bipartition(G)
     if bip is None:
-        raise ValueError("graph is not bipartite")
+        raise ValueError(f"{args.graph}: graph is not bipartite")
     _check_copies(G.p, args.n)
     count = 0
     good = 0
@@ -324,8 +326,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _repro_c4_spectrum() -> tuple[dict[str, Any], bool]:
     G = mk_cycle(4)
     rep = em_spectrum(G)
-    ok = list(rep.achieved) == [12, 13, 14, 15] and all(
-        valence_of(G, w) == k for k, w in rep.witnesses.items()
+    ok = (
+        list(rep.achieved) == [12, 13, 14, 15]
+        and _interval_checks("em", G.p, G.q, rep.interval)
+        and all(valence_of(G, w) == k for k, w in rep.witnesses.items())
     )
     return {
         "achieved": list(rep.achieved),
@@ -340,6 +344,7 @@ def _repro_c4_crown_20() -> tuple[dict[str, Any], bool]:
     found = star_product_valences(4, 2, list(CYCLE4_EM_LABELINGS))
     ok = (
         (rep.lo, rep.hi) == (28, 47)
+        and _interval_checks("em", crown.p, crown.q, rep)
         and sorted(found) == list(range(28, 48))
         and all(valence_of(crown, lab) == k for k, lab in found.items())
     )

@@ -38,6 +38,8 @@ __all__ = [
 
 
 def _checked_pairs(p: int, pairs: Iterable[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
+    if p < 0:
+        raise ValueError("vertex count must be nonnegative")
     out = []
     for pair in pairs:
         u, v = pair
@@ -60,8 +62,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "p", index(self.p))
         pairs = _checked_pairs(self.p, self.edges, "edge")
         object.__setattr__(self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in pairs))
 
@@ -95,8 +96,7 @@ class Digraph:
     arcs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "p", index(self.p))
         object.__setattr__(self, "arcs", _checked_pairs(self.p, self.arcs, "arc"))
 
     @property

@@ -120,6 +120,13 @@ CYCLE4_EM_LABELINGS: tuple[TotalLabeling, ...] = (
 )
 
 
+def _check_one_member_per_arc(D: Digraph, members: int) -> None:
+    if not D.arcs:
+        raise ValueError("product of an arcless digraph is undefined")
+    if members != len(D.arcs):
+        raise ValueError(f"need one member per arc: {len(D.arcs)} arcs, {members} members")
+
+
 def tensor_product(D: Digraph, members: Sequence[Digraph]) -> Digraph:
     """Compose D with one member digraph per arc.
 
@@ -128,12 +135,7 @@ def tensor_product(D: Digraph, members: Sequence[Digraph]) -> Digraph:
     Outer arc (a, b) with member arcs (i, j) contributes product arcs
     (pm*(a-1)+i, pm*(b-1)+j), listed by outer arc then member arc.
     """
-    if not D.arcs:
-        raise ValueError("product of an arcless digraph is undefined")
-    if len(members) != len(D.arcs):
-        raise ValueError(
-            f"need one member per arc: {len(D.arcs)} arcs, {len(members)} members"
-        )
+    _check_one_member_per_arc(D, len(members))
     pm = members[0].p
     if any(M.p != pm for M in members):
         raise ValueError("members must share a vertex count")
@@ -200,12 +202,7 @@ def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
     Equal members are keyed, checked and normalized once per call; the
     first bad arc is the one an error names.
     """
-    if len(assignment.members) != len(D.arcs):
-        raise ValueError(
-            f"need one member per arc: {len(D.arcs)} arcs, {len(assignment.members)} members"
-        )
-    if not D.arcs:
-        raise ValueError("product of an arcless digraph is undefined")
+    _check_one_member_per_arc(D, len(assignment.members))
     done: dict[LabeledDigraph, tuple] = {}
     keyed = []
     for t, M in enumerate(assignment.members, start=1):
@@ -419,11 +416,11 @@ def star_product_valences(
             )
             lab = _realize(ind, crown, crown_iso_from_cycle_product(m, n, r))
             found.setdefault(ind.valence, lab)
-        star_iso = crown_iso_from_star_product(m, n, normalize_by_labels(cycle_member)[1])
         for r in star_centers:
             ind = induced_labeling_from_em_factors(
                 stars[r], ArcAssignment.constant(cycle_member, n + 1)
             )
+            star_iso = crown_iso_from_star_product(m, n, ind.member_maps[0])
             found.setdefault(ind.valence, _realize(ind, crown, star_iso))
     return found
 

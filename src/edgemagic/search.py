@@ -29,10 +29,11 @@ and then descending, gives its least and greatest values (the
 rearrangement extremes of intervals._extremes).  A partial labeling whose
 remainder, q*k minus the known part, falls outside them cannot be
 completed and is cut before the next vertex is placed.  For super edge
-magic labelings the free vertex labels take the degree weights and the
-free edge labels add a fixed sum.  The bound only cuts branches without
-a completion and leaves the order of the search alone, so each searched
-valence yields the same first witness as the search without it.
+magic labelings the edge labels are p+1..p+q, a constant sum taken off
+q*k once at the root, and only the free vertex labels take weights.  The
+bound only cuts branches without a completion and leaves the order of
+the search alone, so each searched valence yields the same first witness
+as the search without it.
 
 Twins.  Labels are tried in ascending order and every cut above removes
 only branches without a completion, so the witness found for a valence
@@ -140,7 +141,7 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     """Plan the search once per graph and return the search for one valence.
 
     The plan holds the vertex order (degree descending, index ascending),
-    for each position the edges whose labels become forced there and the
+    for each position the other ends of the edges forced there and the
     previous twin, the bound's weights for each depth, largest first, the
     congruence modulus for each depth, 0 where it needs no check, and the
     positions of the first vertex and of its twins, which the middle cut
@@ -151,6 +152,9 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
     is what the search would give them, so they add no recursion depth.
+    One call per vertex of nonzero degree checks the bound and congruence
+    on the remainder passed down, then places the vertex; the witness's
+    edge labels are derived once, at the end, as k - f(u) - f(v).
     """
     p, q = G.p, G.q
     total = p + q
@@ -159,10 +163,10 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     order = sorted(range(1, p + 1), key=lambda v: (-deg[v - 1], v))
     degs = [deg[v - 1] for v in order]
     pos = {v: i for i, v in enumerate(order)}
-    finishers: list[list[tuple[int, int]]] = [[] for _ in order]
-    for i, (u, v) in enumerate(G.edges):
+    finishers: list[list[int]] = [[] for _ in order]
+    for u, v in G.edges:
         later, other = (u, v) if pos[u] >= pos[v] else (v, u)
-        finishers[pos[later]].append((i, other))
+        finishers[pos[later]].append(other)
     vmax = p if sem else total
     flip = vmax + 1
     emin = p + 1 if sem else 1
@@ -172,7 +176,7 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
         nbrs[u].append(v)
         nbrs[v].append(u)
     # twin[i]: the last vertex before order[i] with the same neighbour
-    # multiset, both loopless; 0, which vlab never holds, when there is none.
+    # multiset, both loopless; 0, whose label reads as 0, when there is none.
     # v0_class: the positions of order[0] and of its twins
     last: dict[tuple[int, ...], int] = {}
     twin = [0] * live
@@ -197,64 +201,55 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     for i in reversed(range(p)):
         gcds[i] = gcd(gcds[i + 1], degs[i] - base)
     moduli = [g if g > 1 and g != prev else 0 for prev, g in zip([1] + gcds, gcds[:live])]
-    labels = range(total + 1)
+    labels = range(vmax + 1)  # SEM: compress(labels, free) stops at p
+    fixed = sum(range(p + 1, total + 1)) if sem else 0
 
     def find(k: int) -> TotalLabeling | None:
         # free[x] is 1 while label x is unused; 0 is no label
         free = bytearray([0]) + bytearray([1]) * total
-        vlab: dict[int, int] = {}
-        elab = [0] * q
+        # vlab[0] = 0 marks no twin; only vertices placed earlier are read
+        vlab = [0] * (p + 1)
         middle = 2 * k == mirror
 
-        def completable(i: int, known: int) -> bool:
-            # known: sum of deg(v) * f(v) over placed v plus the forced edge labels
-            w = weights[i]
-            rest = q * k - known
+        def place(i: int, rest: int) -> bool:
+            # rest: q*k less the placed deg(v) * f(v) and the known edge labels
+            if i == live:
+                for v, lab in zip(order[live:], compress(labels, free)):
+                    vlab[v] = lab
+                return True
             left = list(compress(labels, free))
-            if sem:
-                # the p - i free vertex labels lie below every free edge label
-                rest -= sum(left[p - i:])
-                del left[p - i:]
             if moduli[i] and (rest - base * sum(left)) % moduli[i]:
                 return False
-            return sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left)))
-
-        def place(i: int, known: int) -> bool:
-            if i == live:
-                vlab.update(zip(order[live:], compress(labels, free)))
-                return True
-            if not completable(i, known):
+            w = weights[i]
+            if not sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left))):
                 return False
             v, d = order[i], degs[i]
             top = vmax
             if middle and i in v0_class:
                 top = flip - vlab[order[0]] if i else flip // 2
-            for lab in range(vlab.get(twin[i], 0) + 1, top + 1):
+            for lab in range(vlab[twin[i]] + 1, top + 1):
                 if not free[lab]:
                     continue
                 free[lab] = 0
                 vlab[v] = lab
                 forced: list[int] = []
-                ok = True
-                for ei, other in finishers[i]:
+                for other in finishers[i]:
                     e = k - lab - vlab[other]
                     if e < emin or e > total or not free[e]:
-                        ok = False
                         break
                     free[e] = 0
-                    elab[ei] = e
                     forced.append(e)
-                if ok and place(i + 1, known + d * lab + sum(forced)):
-                    return True
+                else:
+                    if place(i + 1, rest - d * lab - (0 if sem else sum(forced))):
+                        return True
                 for e in forced:
                     free[e] = 1
                 free[lab] = 1
-                del vlab[v]
             return False
 
-        if not place(0, 0):
+        if not place(0, q * k - fixed):
             return None
-        return TotalLabeling(tuple(vlab[v] for v in range(1, p + 1)), tuple(elab))
+        return TotalLabeling(tuple(vlab[1:]), tuple(k - vlab[u] - vlab[v] for u, v in G.edges))
 
     return find
 

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from edgemagic import (
+    DEFAULT_CAP,
     Decomposition,
     TotalLabeling,
     bipartition,
+    em_interval,
+    em_spectrum,
     first_em_labeling,
     format_graph,
     format_labeling,
@@ -145,6 +149,31 @@ def test_spectrum_writes_no_witnesses_when_the_recheck_fails(files, capsys, tmp_
     assert code == 1
     assert cert["verified"] is False
     assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "repro"])
+def test_spectrum_rechecks_the_interval_it_prints(files, capsys, monkeypatch, command):
+    def skewed(G, cap=DEFAULT_CAP):
+        rep = em_spectrum(G, cap)
+        return replace(rep, interval=replace(rep.interval, raw_max=rep.interval.raw_max + 1))
+
+    monkeypatch.setattr("edgemagic.cli.em_spectrum", skewed)
+    if command == "spectrum":
+        argv = ["spectrum", "--kind", "em", files("c4.g", C4_TEXT)]
+    else:
+        argv = ["repro", "c4-spectrum"]
+    assert main(argv) == 1
+    assert _last_cert(capsys)[1]["verified"] is False
+
+
+def test_crown_repro_rechecks_its_interval(capsys, monkeypatch):
+    def skewed(G):
+        rep = em_interval(G)
+        return replace(rep, raw_min=rep.raw_min - 1)
+
+    monkeypatch.setattr("edgemagic.cli.em_interval", skewed)
+    assert main(["repro", "c4-crown-20"]) == 1
+    assert _last_cert(capsys)[1]["verified"] is False
 
 
 def test_failed_witnesses_write_names_the_path_as_given(files, capsys, tmp_path):
@@ -291,6 +320,29 @@ def test_product_refuses_bad_lines_in_combined_files(files, capsys, text, line):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: line {line}:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("c3.g", "p 3\ne 1 2\ne 2 3\ne 1 3\n", ["decompose", "--graph", "{}", "--enumerate"]),
+        ("arc.txt", "1 1\n2 1\n3 1\n5 1\n",
+         ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
+        ("member.txt", "1 1\n2 2\n3 1\n4 1\n",
+         ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
+        ("twice.l", IDENTITY_TEXT.replace("v 2 2", "v 2 1"), ["verify", "{c4}", "{}"]),
+    ],
+    ids=["decompose-not-bipartite", "assign-arc-out-of-range", "assign-member-out-of-range",
+         "labels-not-a-bijection"],
+)
+def test_refusals_name_the_file_as_given(files, capsys, name, text, argv):
+    bad = files(name, text)
+    given = {"cyc": files("cyc.d", CYC_D_TEXT), "star": files("star.d", STAR_D_TEXT),
+             "c4": files("c4.g", C4_TEXT)}
+    code = main([arg.format(bad, **given) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
 
 
 def test_parse_errors_name_the_file_among_four(tmp_path, monkeypatch, capsys):

@@ -46,6 +46,11 @@ def test_non_integer_endpoints_rejected():
             Graph(3, ((bad, 2), (2, 3)))
         with pytest.raises(TypeError):
             Digraph(3, ((2, 3), (1, bad)))
+    for bad in (2.5, 3.0, Fraction(3), "3"):
+        with pytest.raises(TypeError):
+            Graph(bad, ((1, 2),))
+        with pytest.raises(TypeError):
+            Digraph(bad, ())
 
 
 def test_degree_counts_loops_twice():
