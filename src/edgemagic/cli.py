@@ -14,6 +14,10 @@ errors, budget refusals, unknown flags), 3 for an internal fault (a
 failed self-check, exhausted recursion depth or memory).  Unusable
 files, budget refusals and internal faults print one "error:" line on
 stderr instead of a traceback.
+
+The argument parser is built once, when the module is imported, so main
+is cheap to call repeatedly in-process: each call parses into a fresh
+namespace and shares nothing with the calls before it.
 """
 from __future__ import annotations
 
@@ -305,6 +309,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     bip = bipartition(G)
     if bip is None:
         raise ValueError(f"{args.graph}: graph is not bipartite")
+    if args.include_empty and G.q == 0:
+        raise ValueError(f"{args.graph}: graph has no edges, so its one split has no doubling")
     _check_copies(G.p, args.n)
     count = 0
     good = 0
@@ -463,10 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(raw)
+    args = _PARSER.parse_args(raw)
     args.argv = ["edgemagic", *raw]
     args.inputs = {}
     try:

@@ -1,8 +1,10 @@
 """End to end command line tests: exit codes, certificates, file formats."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -331,9 +333,10 @@ def test_product_refuses_bad_lines_in_combined_files(files, capsys, text, line):
         ("member.txt", "1 1\n2 2\n3 1\n4 1\n",
          ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
         ("twice.l", IDENTITY_TEXT.replace("v 2 2", "v 2 1"), ["verify", "{c4}", "{}"]),
+        ("e3.g", "p 3\n", ["decompose", "--graph", "{}", "--enumerate", "--include-empty"]),
     ],
     ids=["decompose-not-bipartite", "assign-arc-out-of-range", "assign-member-out-of-range",
-         "labels-not-a-bijection"],
+         "labels-not-a-bijection", "decompose-edgeless-include-empty"],
 )
 def test_refusals_name_the_file_as_given(files, capsys, name, text, argv):
     bad = files(name, text)
@@ -517,6 +520,16 @@ def test_decompose_include_empty_and_cap(files, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_decompose_include_empty_refuses_an_edgeless_graph(files, capsys):
+    e3 = files("e3.g", "p 3\n")
+    assert main(["decompose", "--graph", e3, "--enumerate", "--include-empty"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {e3}: graph has no edges, so its one split has no doubling\n"
+    assert main(["decompose", "--graph", e3, "--enumerate"]) == 0
+    lines, cert = _last_cert(capsys)
+    assert len(lines) == 1 and cert["result"] == {"splits": 0, "verified_splits": 0, "n": 1}
+
+
 @pytest.mark.parametrize(
     "example", ["c4-spectrum", "c4-crown-20", "k1nl-perfect", "s2-k33"]
 )
@@ -556,6 +569,73 @@ def test_usage_errors_exit_with_code_two():
     with pytest.raises(SystemExit) as exc:
         main(["interval", "x.g"])  # --kind is required
     assert exc.value.code == 2
+
+
+# argparse's own output at 80 columns, recorded from a parser built anew
+# on every call, so a parser built once must print the same bytes.  The
+# layout of help and usage text changes between Python versions.
+HELP_SHA256 = {  # argv: sha256 of stdout
+    "--help": "bf79c5a5dfad41ca1108cf7df38875f149e1e9ed45e1ea239f951e2d83ec07b7",
+    "verify --help": "7e1b5f933e79788d05f88fbb12ae5f28e126f75116f5fec571667bac0a095df9",
+    "interval --help": "d46699c173f062178799a99f81e9dc48855516570221fa6e199f712bdbdc98fa",
+    "spectrum --help": "224e940d7ae52185d75cf4cd6352c89215b00ac537bf79126f46e77cfb189b93",
+    "product --help": "0647344404fb3a0e90443ecc3441470bb22deb015d77d49946c07c8e837e9dcf",
+    "s2n --help": "4ef8e6be11b46f280553f86b6f72f902523f6474a1b106688eed120fafe1ffb6",
+    "decompose --help": "f0311f9dfe2d76f2e7516ac9dbcd98391cae8551454ed2f2c91291419ec52fa7",
+    "repro --help": "d623efc300243d7d6359cc7ba8ae913e15b13b2305d6f81a18e6b12ba291d0e7",
+}
+TOP_USAGE = (
+    "usage: edgemagic [-h]\n"
+    "                 {verify,interval,spectrum,product,s2n,decompose,repro} ...\n"
+)
+USAGE_ERRORS = {  # argv: stderr
+    "": TOP_USAGE + "edgemagic: error: the following arguments are required: subcommand\n",
+    "no-such-command": TOP_USAGE + "edgemagic: error: argument subcommand: invalid choice: "
+    "'no-such-command' (choose from 'verify', 'interval', 'spectrum', 'product', 's2n', "
+    "'decompose', 'repro')\n",
+    "interval x.g": "usage: edgemagic interval [-h] --kind {em,sem} graphfile\n"
+    "edgemagic interval: error: the following arguments are required: --kind\n",
+    "repro nope": "usage: edgemagic repro [-h] {c4-crown-20,c4-spectrum,k1nl-perfect,s2-k33}\n"
+    "edgemagic repro: error: argument example_id: invalid choice: 'nope' (choose from "
+    "'c4-crown-20', 'c4-spectrum', 'k1nl-perfect', 's2-k33')\n",
+}
+on_python_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse text recorded with Python 3.11"
+)
+
+
+@on_python_311
+@pytest.mark.parametrize("argv", sorted(HELP_SHA256))
+def test_help_stays_byte_identical(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert _sha256(out.encode()) == HELP_SHA256[argv]
+
+
+@on_python_311
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+def test_usage_errors_stay_byte_identical(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err == USAGE_ERRORS[argv]
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    assert main(["repro", "c4-spectrum"]) == 0
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["repro", "c4-spectrum"]) == 0
+    assert capsys.readouterr().out == first
 
 
 # Byte-stable certificates.  Each command runs from the directory of its
@@ -691,3 +771,47 @@ def test_certificates_stay_byte_identical(name, tmp_path, monkeypatch, capsys):
     assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
     for fname, sha in written.items():
         assert _sha256((tmp_path / fname).read_bytes()) == sha
+
+
+def test_one_process_gives_the_same_results_call_after_call(tmp_path, monkeypatch, capsys):
+    # Each call runs once in this order and once in reverse, so each
+    # variant runs both before and after the others; a value left over
+    # from an earlier call (an appended --member, a --witnesses path, an
+    # input digest) would change a certificate or a file.
+    monkeypatch.chdir(tmp_path)
+    for fname, text in GOLDEN_FILES.items():
+        (tmp_path / fname).write_text(text, encoding="utf-8")
+    two_members, _, two_sha, _ = GOLDEN["product-spk"]
+    witnessed, _, witnessed_sha, written = GOLDEN["spectrum-em"]
+    one_member = ["product", "--mode", "spk", "--d", "cyc.d", "--member", "star.d"]
+    plain = ["spectrum", "--kind", "em", "c4.g"]
+    bad = ["product", "--mode", "spk", "--d", "cyc.d"]  # --member is required
+    inputs = {
+        "product-two": ({"d", "member1", "member2", "assign"}, two_members),
+        "product-one": ({"d", "member1"}, one_member),
+        "spectrum-witnessed": ({"graphfile"}, witnessed),
+        "spectrum-plain": ({"graphfile"}, plain),
+    }
+    order = ["product-two", "usage-error", "product-one", "spectrum-witnessed", "spectrum-plain"]
+    wit = tmp_path / "wit-em.json"
+    first: dict[str, str] = {}
+    for name in order + order[::-1]:
+        if name == "usage-error":
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            continue
+        keys, argv = inputs[name]
+        if name == "spectrum-plain":
+            wit.write_text("left alone\n", encoding="utf-8")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == first.setdefault(name, out)
+        assert set(json.loads(out)["inputs"]) == keys
+        if name == "spectrum-plain":
+            assert wit.read_text(encoding="utf-8") == "left alone\n"
+        if name == "spectrum-witnessed":
+            assert _sha256(wit.read_bytes()) == written["wit-em.json"]
+    assert _sha256(first["product-two"].encode()) == two_sha
+    assert _sha256(first["spectrum-witnessed"].encode()) == witnessed_sha
