@@ -220,14 +220,17 @@ def _cmd_interval(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     G = _load(args, "graphfile", args.graphfile, parse_graph)
+    out = args.witnesses
+    if out and os.path.exists(out) and os.path.samefile(out, args.graphfile):
+        raise ValueError(f"{out}: the --witnesses file would overwrite the input graph")
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
     recheck = is_super_edge_magic if args.kind == "sem" else valence_of
     verified = _interval_checks(args.kind, G.p, G.q, rep.interval) and all(
         recheck(G, w) == k for k, w in rep.witnesses.items()
     )
-    if args.witnesses and verified:
+    if out and verified:
         payload = {str(k): _labeling_json(w) for k, w in sorted(rep.witnesses.items())}
-        _write_atomically(args.witnesses, payload)
+        _write_atomically(out, payload)
     result = {
         "kind": args.kind,
         "interval": _interval_json(rep.interval),

@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Five exact devices keep the search small.
+Six exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -90,6 +90,32 @@ stops the label loops of v0 and of its twins there: the cut removes only
 labelings the search would never return, so no witness changes.  The
 first cap needs only the duality, so it holds when v0 has a loop too.
 
+Pairs.  Take a vertex c placed before depth i with r >= 2 distinct
+unplaced neighbours.  Each such neighbour w and its edge cw will take two
+labels that are free now and sum to s = k - f(c), and distinct
+neighbours take distinct labels, so the free labels must hold r disjoint
+pairs {a, s-a} with a < s-a (the pair argument of Kotzig and Rosa,
+Canad. Math. Bull. 1970, used as forward checking is: Haralick and
+Elliott, Artif. Intell. 1980).  Two different pairs with the same sum
+share no label, so it is enough to count them.  For super edge magic
+labelings f(w) is a vertex label, at most p, and f(cw) an edge label,
+above p, so each pair is counted once, by its label at most p; for edge
+magic labelings the free labels x whose partner s-x is free count each
+pair twice and s/2 once more when it is free, and a count of 2u or
+2u+1 reaches 2r exactly when u >= r.  When the free labels hold exactly
+r such pairs for c, every one of them is used by c's open edges, so no
+other vertex or edge can take their labels: another such vertex b must
+then find one pair for each unplaced neighbour it does not share with c
+among the labels that are left (its own edges and those neighbours take
+no label of c's pairs).  A node where some such c or b falls short has
+no completion and is cut once the bound passes, so no witness changes.
+The vertices c, their r and, for each other b at the same depth, b's
+unshared count are planned once per graph for every depth, with one
+integer bitmask of later neighbours per vertex; at a node the free
+labels are read as two integers, one of them byte-reversed, each vertex
+checked costs one shift, one and, and one bit count, and the recount
+after a tight c removes its pairs with two more ands.
+
 Every witness, mirrored ones included, is re-verified before it is
 reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
@@ -145,16 +171,19 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     previous twin, the bound's weights for each depth, largest first, the
     congruence modulus for each depth, 0 where it needs no check, and the
     positions of the first vertex and of its twins, which the middle cut
-    bounds at the valence mirror / 2.
+    bounds at the valence mirror / 2, and for each depth the placed
+    vertices whose open edges the pair count checks, each with what the
+    others still need when its own pairs are all spoken for.
     The unplaced degrees are a slice of the order; zero degrees add
     nothing to the bound and are left out of its weights.
     Once every vertex of nonzero degree is placed, every edge is forced
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
     is what the search would give them, so they add no recursion depth.
-    One call per vertex of nonzero degree checks the bound and congruence
-    on the remainder passed down, then places the vertex; the witness's
-    edge labels are derived once, at the end, as k - f(u) - f(v).
+    One call per vertex of nonzero degree checks the congruence, the bound
+    and the pairs on the remainder and labels passed down, then places
+    the vertex; the witness's edge labels are derived once, at the end,
+    as k - f(u) - f(v).
     """
     p, q = G.p, G.q
     total = p + q
@@ -201,12 +230,49 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     for i in reversed(range(p)):
         gcds[i] = gcd(gcds[i + 1], degs[i] - base)
     moduli = [g if g > 1 and g != prev else 0 for prev, g in zip([1] + gcds, gcds[:live])]
+    # ahead[j]: bit i is set when order[i], i > j, is a neighbour of order[j]
+    ahead = [0] * live
+    for i, w in enumerate(order[:live]):
+        for c in set(nbrs[w]):
+            if pos[c] < i:
+                ahead[pos[c]] |= 1 << i
+    # opens[i]: the positions j of the vertices placed before depth i with
+    # at least two distinct neighbours unplaced there
+    opens: list[list[int]] = [[] for _ in range(live)]
+    for j, later in enumerate(ahead):
+        if later:
+            # through the depth of the second-last of those neighbours
+            for i in range(j + 1, (later ^ 1 << later.bit_length() - 1).bit_length()):
+                opens[i].append(j)
+    # pairs[i]: (c, need, others) for c = order[j], j in opens[i], need its
+    # number of unplaced neighbours counted once for super edge magic
+    # labelings and twice for edge magic ones; others: (b, need) for the
+    # other vertices of opens[i], counting only their unplaced neighbours
+    # that are not c's
+    per = 1 if sem else 2
+    pairs: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = []
+    for i, row in enumerate(opens):
+        pairs.append([])
+        for j in row:
+            others = []
+            for l in row:
+                rest = ((ahead[l] & ~ahead[j]) >> i).bit_count()
+                if rest:
+                    others.append((order[l], per * rest))
+            pairs[i].append((order[j], per * (ahead[j] >> i).bit_count(), tuple(others)))
+    # free[:vcut] holds the labels a neighbour may take, free[ecut:] those
+    # its edge may take
+    vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 0)
+    width = 8 * total
+    from_bytes = int.from_bytes
     labels = range(vmax + 1)  # SEM: compress(labels, free) stops at p
     fixed = sum(range(p + 1, total + 1)) if sem else 0
 
     def find(k: int) -> TotalLabeling | None:
         # free[x] is 1 while label x is unused; 0 is no label
         free = bytearray([0]) + bytearray([1]) * total
+        vfree, efree = memoryview(free)[:vcut], memoryview(free)[ecut:]
+        lift = 8 * k
         # vlab[0] = 0 marks no twin; only vertices placed earlier are read
         vlab = [0] * (p + 1)
         middle = 2 * k == mirror
@@ -223,6 +289,27 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
             w = weights[i]
             if not sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left))):
                 return False
+            if pairs[i]:
+                # label x is bit 8x of fwd, and its partner k - f(c) - x
+                # is bit 8x of back >> 8f(c)
+                fwd = from_bytes(vfree, "little")
+                back = from_bytes(efree, "big") << lift >> width
+                for c, need, others in pairs[i]:
+                    f = vlab[c]
+                    m = fwd & (back >> 8 * f)
+                    n = m.bit_count()
+                    if n < need:
+                        return False
+                    if n < need + per and others:
+                        # c's open edges take every pair m holds; the
+                        # others must find theirs among the labels left.
+                        # Bit 4(k - f) is label (k - f)/2 when that is an
+                        # integer: it pairs with itself, so it stays free
+                        m &= ~(1 << 4 * (k - f))
+                        rfwd, rback = fwd & ~m, back & ~(m << 8 * f)
+                        for b, nb in others:
+                            if (rfwd & (rback >> 8 * vlab[b])).bit_count() < nb:
+                                return False
             v, d = order[i], degs[i]
             top = vmax
             if middle and i in v0_class:

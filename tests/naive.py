@@ -65,6 +65,24 @@ def naive_valences(G: Graph, kind: str) -> list[int]:
     return sorted(out)
 
 
+def naive_least_witness(G: Graph, kind: str, k: int) -> tuple[int, ...] | None:
+    """The least vertex-label tuple, read in plan order (degree descending,
+    then index), among the labelings of valence k; None when there is none.
+    The tuples are enumerated in increasing order, so the first that
+    completes to a labeling of valence k is the least."""
+    p, q = G.p, G.q
+    total = p + q
+    deg = G.degrees()
+    order = sorted(range(1, p + 1), key=lambda v: (-deg[v - 1], v))
+    pool = range(1, (p if kind == "sem" else total) + 1)
+    for labels in permutations(pool, p):
+        f = dict(zip(order, labels))
+        rest = set(range(p + 1, total + 1)) if kind == "sem" else set(range(1, total + 1)) - set(labels)
+        if sorted(k - f[u] - f[v] for u, v in G.edges) == sorted(rest):
+            return labels
+    return None
+
+
 def twin_classes(G: Graph) -> list[list[int]]:
     """Classes of two or more loopless vertices whose adjacency rows (edge
     multiplicities to every vertex) are equal, each in increasing order."""

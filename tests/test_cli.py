@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -187,6 +188,24 @@ def test_failed_witnesses_write_names_the_path_as_given(files, capsys, tmp_path)
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(out) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "linked"])
+def test_spectrum_refuses_to_write_witnesses_over_its_input(files, capsys, tmp_path, monkeypatch, spelling):
+    # the certificate's inputs digest names the bytes that were parsed, so
+    # the command may not replace them; the check runs before the search
+    monkeypatch.chdir(tmp_path)
+    files("p3.g", "p 3\ne 1 2\ne 2 3\n")
+    out = {"same": "p3.g", "dotted": "./p3.g", "linked": "p3-link.g"}[spelling]
+    if spelling == "linked":
+        os.link("p3.g", out)
+    monkeypatch.setattr("edgemagic.cli.em_spectrum", None)
+    code = main(["spectrum", "--kind", "em", "--witnesses", out, "p3.g"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: the --witnesses file would overwrite the input graph\n"
+    assert (tmp_path / "p3.g").read_text(encoding="utf-8") == "p 3\ne 1 2\ne 2 3\n"
 
 
 def test_internal_faults_exit_with_code_three(files, capsys):

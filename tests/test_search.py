@@ -29,7 +29,7 @@ from edgemagic import (
     sem_spectrum,
     valence_of,
 )
-from naive import CORPUS, WIDE_CORPUS, naive_valences, twin_classes
+from naive import CORPUS, WIDE_CORPUS, naive_least_witness, naive_valences, twin_classes
 
 # Frozen from a one-off brute-force enumeration over all labelings.
 FROZEN_EM = {
@@ -243,6 +243,76 @@ def test_k34_and_k26_spectra_and_first_hits_are_frozen():
         got = None if hit is None else (hit[0], hit[1].vertex_labels, hit[1].edge_labels)
         assert got == first_hit, (kind, name)
     assert digest.hexdigest() == BIPARTITE_WITNESSES_SHA256
+
+
+# Frozen before the search cut nodes where a placed vertex can no longer
+# pair off its open edges, which may not change a spectrum or a searched
+# witness; the cut's hardest cases: hubs whose open edges the bound
+# barely restricts.  K2,5 with a pendant has no super edge magic
+# labeling: q > 2p - 3.
+FROZEN_HUBS = {
+    ("em", "crown33"): (
+        list(range(27, 49)),
+        (27, (1, 2, 3, 5, 7, 9, 10, 11, 12, 4, 6, 8), (24, 22, 23, 21, 19, 17, 15, 14, 13, 20, 18, 16)),
+    ),
+    ("em", "k25pendant"): (
+        list(range(23, 38)),
+        (23, (1, 2, 5, 3, 10, 13, 15, 4), (17, 19, 12, 9, 7, 16, 18, 11, 8, 6, 14)),
+    ),
+    ("sem", "crown33"): (
+        list(range(27, 37)),
+        (27, (1, 2, 3, 5, 7, 9, 10, 11, 12, 4, 6, 8), (24, 22, 23, 21, 19, 17, 15, 14, 13, 20, 18, 16)),
+    ),
+    ("sem", "k25pendant"): ([], None),
+}
+HUB_WITNESSES_SHA256 = "b2f81595556be2c2f356d7506cd0c6c04d727903e67f64809bb41fe1ada81726"
+
+
+def test_crown_and_pendant_spectra_and_first_hits_are_frozen():
+    k25pendant = Graph(8, mk_complete_bipartite(2, 5).edges + ((3, 8),))
+    graphs = {"crown33": (mk_crown(3, 3), 40), "k25pendant": (k25pendant, 26)}
+    digest = hashlib.sha256()
+    for (kind, name), (achieved, first_hit) in FROZEN_HUBS.items():
+        spectrum, first = (
+            (em_spectrum, first_em_labeling) if kind == "em" else (sem_spectrum, first_sem_labeling)
+        )
+        G, cap = graphs[name]
+        rep = spectrum(G, cap=cap)
+        assert list(rep.achieved) == achieved, (kind, name)
+        for k, w in rep.witnesses.items():
+            digest.update(f"{kind} {name} {k} {w.vertex_labels} {w.edge_labels}\n".encode())
+        hit = first(G, cap=26)
+        got = None if hit is None else (hit[0], hit[1].vertex_labels, hit[1].edge_labels)
+        assert got == first_hit, (kind, name)
+    assert digest.hexdigest() == HUB_WITNESSES_SHA256
+
+
+# The split doubling of P3 at n = 2 (the benchmark's S2(P3,2)): a double
+# star and two isolated vertices.  Once both centres are placed, the
+# bigger centre's open edges often take every free pair of their sum and
+# the other centre must pair off among the labels left.  Frozen before
+# the pair count recounted after such a tight centre.
+DOUBLED_P3 = Graph(9, ((1, 2), (2, 3), (1, 6), (2, 5), (1, 9), (2, 8)))
+FROZEN_DOUBLED_P3 = {
+    "em": (list(range(17, 32)), (17, (2, 1, 3, 10, 4, 6, 15, 5, 7), (14, 13, 9, 12, 8, 11))),
+    "sem": (list(range(19, 27)), (19, (3, 1, 5, 6, 7, 2, 9, 8, 4), (15, 13, 14, 11, 12, 10))),
+}
+DOUBLED_P3_WITNESSES_SHA256 = "74ecb3529423ce55af6d97383d2f072a0caae62e044e037ade34d1242c825b58"
+
+
+def test_doubled_p3_spectra_and_first_hits_are_frozen():
+    digest = hashlib.sha256()
+    for kind, (achieved, first_hit) in FROZEN_DOUBLED_P3.items():
+        spectrum, first = (
+            (em_spectrum, first_em_labeling) if kind == "em" else (sem_spectrum, first_sem_labeling)
+        )
+        rep = spectrum(DOUBLED_P3)
+        assert list(rep.achieved) == achieved, kind
+        for k, w in rep.witnesses.items():
+            digest.update(f"{kind} {k} {w.vertex_labels} {w.edge_labels}\n".encode())
+        k, w = first(DOUBLED_P3)
+        assert (k, w.vertex_labels, w.edge_labels) == first_hit, kind
+    assert digest.hexdigest() == DOUBLED_P3_WITNESSES_SHA256
 
 
 def _complete(n: int) -> Graph:
@@ -486,3 +556,61 @@ def test_naive_valences_meet_the_root_congruence(G):
         assert list(spectrum(G).achieved) == naive, kind
         hit = first(G)
         assert (None if hit is None else hit[0]) == (naive[0] if naive else None), kind
+
+
+@st.composite
+def hub_rich_graphs(draw) -> Graph:
+    """Graphs with p+q <= 9 and p <= 5, so that the naive oracle stays
+    fast, built around vertices of high degree: spiders, caterpillars,
+    double stars and stars with a loop at the center or pendants on
+    leaves, with their vertices renumbered so that plan order ties fall
+    either way."""
+    family = draw(st.sampled_from(("spider", "caterpillar", "double star", "star")))
+    if family == "spider":
+        edges, p = [], 1
+        for length in draw(st.lists(st.integers(1, 2), min_size=1, max_size=4)):
+            for step in range(length):
+                p += 1
+                edges.append((1 if step == 0 else p - 1, p))
+    elif family == "caterpillar":
+        spine = draw(st.integers(2, 3))
+        edges = [(i, i + 1) for i in range(1, spine)]
+        p = spine
+        for v in draw(st.lists(st.integers(1, spine), min_size=1, max_size=3)):
+            p += 1
+            edges.append((v, p))
+    elif family == "double star":
+        a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        edges = [(1, 2)] + [(1, 2 + i) for i in range(1, a + 1)]
+        edges += [(2, 2 + a + j) for j in range(1, b + 1)]
+        p = 2 + a + b
+    else:
+        m = draw(st.integers(2, 4))
+        edges = [(1, leaf) for leaf in range(2, m + 2)]
+        p = m + 1
+        if draw(st.booleans()):
+            edges.append((1, 1))
+        else:
+            for leaf in draw(st.lists(st.integers(2, m + 1), max_size=2, unique=True)):
+                p += 1
+                edges.append((leaf, p))
+    perm = draw(st.permutations(range(1, p + 1)))
+    G = Graph(p, tuple((perm[u - 1], perm[v - 1]) for u, v in edges))
+    assume(G.p + G.q <= 9 and G.p <= 5)
+    return G
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(hub_rich_graphs())
+def test_lower_half_witnesses_are_the_least_in_plan_order(G):
+    # the search returns, at each searched valence, the least vertex-label
+    # tuple in plan order, so every exact cut must keep that labeling
+    deg = G.degrees()
+    order = sorted(range(1, G.p + 1), key=lambda v: (-deg[v - 1], v))
+    for kind, spectrum in (("em", em_spectrum), ("sem", sem_spectrum)):
+        rep = spectrum(G)
+        c = _mirror(G, kind)
+        for k in range(rep.interval.lo, c // 2 + 1):
+            w = rep.witnesses.get(k)
+            got = None if w is None else tuple(w.vertex_labels[v - 1] for v in order)
+            assert got == naive_least_witness(G, kind, k), (kind, k)
