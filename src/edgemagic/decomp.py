@@ -35,7 +35,7 @@ from .graphs import (
     check_bipartition,
     edges_match_under,
 )
-from .labelings import TotalLabeling, is_super_edge_magic, valence_of
+from .labelings import TotalLabeling, valence_of
 from .products import (
     ArcAssignment,
     LabeledDigraph,
@@ -242,9 +242,11 @@ def induced_s2n_labeling(
     outer = LabeledDigraph(s.orientation, f)
     star = star_loop_labeling(n, r)
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
+    # _realize has verified the valence on the doubling; a super edge magic
+    # base leaves only the vertex label range to check
     lab = _realize(ind, s.graph, s2n_iso_map(s, r))
-    if is_super_edge_magic(G, f) is not None:
-        if is_super_edge_magic(s.graph, lab) != ind.valence:
+    if sorted(f.vertex_labels) == list(range(1, G.p + 1)):
+        if sorted(lab.vertex_labels) != list(range(1, s.graph.p + 1)):
             raise RuntimeError("transported labeling lost the vertex label range")
     return s, lab, ind.valence
 

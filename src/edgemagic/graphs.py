@@ -11,7 +11,7 @@ with ``#`` and blank lines are ignored, and any other unknown line is refused;
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import index
@@ -222,10 +222,10 @@ def edges_match_under(src: Graph | Digraph, dst: Graph, vertex_map: Mapping[int,
         return False
     if sorted(vertex_map.values()) != list(range(1, dst.p + 1)):
         return False
-    mapped = Counter(
-        (a, b) if (a := vertex_map[u]) <= (b := vertex_map[v]) else (b, a) for u, v in _pairs(src)
+    mapped = sorted(
+        [(a, b) if (a := vertex_map[u]) <= (b := vertex_map[v]) else (b, a) for u, v in _pairs(src)]
     )
-    return mapped == Counter(dst.edges)
+    return mapped == sorted(dst.edges)
 
 
 # The most vertices a 'p' header or a split doubling may ask for; larger

@@ -27,6 +27,10 @@ product in two ways: a directed cycle composed with stars with loops, or
 a star with loop composed with cycle copies, whose crown map is the
 first one's with the factors swapped.  The two routes reach different
 valence ranges, which is how the crown valence tables are assembled.
+The cycle route's product and crown map depend only on the star
+center, so the crown pipeline builds and matches them once per call per
+center; every crown labeling is verified on its product and re-verified
+on the crown.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ from typing import Callable, Sequence
 
 from .graphs import Digraph, Graph, mk_crown
 from .labelings import (
+    _carry,
+    _correspondence,
     TotalLabeling,
     check_total_labeling,
     extend_vertex_labeling,
@@ -203,13 +209,15 @@ def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
     first bad arc is the one an error names.
     """
     _check_one_member_per_arc(D, len(assignment.members))
-    done: dict[LabeledDigraph, tuple] = {}
+    # keyed on plain tuples: the dataclasses' own hash and eq cost three frames
+    done: dict[tuple, tuple] = {}
     keyed = []
     for t, M in enumerate(assignment.members, start=1):
-        entry = done.get(M)
+        plain = (M.digraph.p, M.digraph.arcs, M.labeling.vertex_labels, M.labeling.edge_labels)
+        entry = done.get(plain)
         if entry is None:
             try:
-                entry = done[M] = (key_fn(M), normalize_by_labels(M))
+                entry = done[plain] = (key_fn(M), normalize_by_labels(M))
             except ValueError as exc:
                 raise ValueError(f"member {t}: {exc}") from None
         keyed.append(entry)
@@ -234,12 +242,26 @@ def induced_labeling_from_sem_factors(
     v.  The result is super edge magic whenever the outer labeling is.
     """
     D = outer.digraph
-    (p_m, k), normalized = _common_key(D, assignment, sem_factor_key)
+    key, normalized = _common_key(D, assignment, sem_factor_key)
     v = valence_of(D, outer.labeling)
     if v is None:
         raise ValueError("outer labeling is not edge magic")
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
-    f = outer.labeling
+    return _sem_induced(product, D, outer.labeling, v, key, normalized)
+
+
+def _sem_induced(
+    product: Digraph,
+    D: Digraph,
+    f: TotalLabeling,
+    v: int,
+    key: tuple[int, int],
+    normalized: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
+) -> InducedProductLabeling:
+    """The label arithmetic of induced_labeling_from_sem_factors: f of
+    valence v on D, members of key (p_m, k) normalized per arc, and
+    their product, all checked by the caller."""
+    p_m, k = key
     vlabs = [0] * product.p
     for a in range(1, D.p + 1):
         base_val = p_m * (f.vertex_labels[a - 1] - 1)
@@ -374,16 +396,27 @@ def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> di
     }
 
 
-def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
-    """Carry an induced labeling onto target along iso, which transport
-    matches edge by edge, re-checking that the valence survives."""
+def _matched(step: Callable, *args):
+    """step(*args), a transport step that matches a product onto its
+    target; a mismatch is a fault of the stated map, not of the input."""
     try:
-        lab = transport(ind.product, ind.labeling, iso, target)
+        return step(*args)
     except ValueError:
         raise RuntimeError("product does not match the target under the stated map") from None
+
+
+def _reverified(ind: InducedProductLabeling, target: Graph, lab: TotalLabeling) -> TotalLabeling:
+    """lab, ind's labeling carried onto target, once its valence is
+    re-checked there."""
     if valence_of(target, lab) != ind.valence:
         raise RuntimeError("transported labeling lost its valence")
     return lab
+
+
+def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
+    """Carry an induced labeling onto target along iso, which transport
+    matches edge by edge, re-checking that the valence survives."""
+    return _reverified(ind, target, _matched(transport, ind.product, ind.labeling, iso, target))
 
 
 def star_product_valences(
@@ -400,22 +433,31 @@ def star_product_valences(
     that route uses only the extreme centers r in {1, n+1}, which is
     where it adds valences the first route cannot reach, unless
     all_centers is set.
+
+    The cycle route's product and crown map do not depend on the cycle
+    labeling, so each center's are built and matched once per call; each
+    labeling is then verified on the product and again on the crown.
     """
     crown = mk_crown(m, n)
     cyc = orient_cycle(m)
     star_centers = range(1, n + 2) if all_centers else (1, n + 1)
     stars = {r: star_loop_labeling(n, r) for r in range(1, n + 2)}
+    routes = []
+    for r, star in stars.items():
+        key, normalized = _common_key(cyc, ArcAssignment.constant(star, m), sem_factor_key)
+        product = tensor_product(cyc, [nm.digraph for nm, _ in normalized])
+        iso = crown_iso_from_cycle_product(m, n, r)
+        routes.append((key, normalized, product, _matched(_correspondence, product, crown, iso)))
     found: dict[int, TotalLabeling] = {}
     for L in cycle_labelings:
         cycle_member = LabeledDigraph(cyc, L)
-        if valence_of(cyc, L) is None:
+        v = valence_of(cyc, L)
+        if v is None:
             raise ValueError("cycle labeling is not edge magic")
-        for r, star in stars.items():
-            ind = induced_labeling_from_sem_factors(
-                cycle_member, ArcAssignment.constant(star, m)
-            )
-            lab = _realize(ind, crown, crown_iso_from_cycle_product(m, n, r))
-            found.setdefault(ind.valence, lab)
+        for key, normalized, product, correspondence in routes:
+            ind = _sem_induced(product, cyc, L, v, key, normalized)
+            lab = _carry(ind.labeling, correspondence)
+            found.setdefault(ind.valence, _reverified(ind, crown, lab))
         for r in star_centers:
             ind = induced_labeling_from_em_factors(
                 stars[r], ArcAssignment.constant(cycle_member, n + 1)

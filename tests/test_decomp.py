@@ -12,10 +12,12 @@ from edgemagic import (
     Decomposition,
     Digraph,
     Graph,
+    InvalidLabelingError,
     TotalLabeling,
     bipartition,
     build_s2n,
     check_decomposition,
+    complement,
     edges_match_under,
     em_spectrum,
     enumerate_2_decompositions,
@@ -34,6 +36,7 @@ from edgemagic import (
     valence_of,
     verify_s2n_iso,
 )
+from edgemagic import decomp
 
 P3 = Graph(3, ((1, 2), (2, 3)))
 P4 = Graph(4, ((1, 2), (2, 3), (3, 4)))
@@ -232,6 +235,21 @@ def test_induced_labeling_rejects_non_magic_bases():
     d = Decomposition(P3, frozenset({1}), frozenset({2}))
     with pytest.raises(ValueError):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
+
+
+def test_induced_labeling_names_its_refusals(monkeypatch):
+    bip = bipartition(P3)
+    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    with pytest.raises(ValueError, match="base labeling is not edge magic"):
+        induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
+    with pytest.raises(InvalidLabelingError):
+        induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4,)), 1)
+    # a super edge magic base must give vertex labels 1..p on the doubling
+    f = extend_vertex_labeling(P3, (1, 3, 2))
+    realize = decomp._realize
+    monkeypatch.setattr(decomp, "_realize", lambda ind, G, iso: complement(G, realize(ind, G, iso)))
+    with pytest.raises(RuntimeError, match="lost the vertex label range"):
+        induced_s2n_labeling(P3, bip, d, 1, f, 1)
 
 
 def test_induced_labeling_refuses_a_wrong_fiber_map(monkeypatch):

@@ -164,6 +164,29 @@ def test_edges_match_under_requires_bijection():
     assert not edges_match_under(G, Graph(5, G.edges), {v: v for v in range(1, 5)})
 
 
+def test_edges_match_under_counts_multiplicities():
+    ident2, ident3, swap = {1: 1, 2: 2}, {1: 1, 2: 2, 3: 3}, {1: 2, 2: 1}
+    doubled = Graph(3, ((1, 2), (1, 2), (2, 3)))
+    assert edges_match_under(doubled, doubled, ident3)
+    assert edges_match_under(doubled, Graph(3, ((2, 3), (3, 1), (1, 3))), {1: 1, 2: 3, 3: 2})
+    assert not edges_match_under(Graph(3, ((1, 2), (1, 2))), Graph(3, ((1, 2), (2, 3))), ident3)
+    # same edge set, different multiplicities
+    assert not edges_match_under(doubled, Graph(3, ((1, 2), (2, 3), (2, 3))), ident3)
+    looped = Graph(2, ((1, 1), (1, 2)))
+    assert edges_match_under(looped, Graph(2, ((2, 2), (1, 2))), swap)
+    assert not edges_match_under(looped, Graph(2, ((2, 2), (1, 2))), ident2)
+    two_loops = Graph(2, ((1, 1), (1, 1), (1, 2)))
+    assert not edges_match_under(two_loops, Graph(2, ((1, 1), (1, 2), (1, 2))), ident2)
+    # a digraph's u->v and v->u are the unordered pair twice
+    both_ways = Digraph(2, ((1, 2), (2, 1)))
+    assert edges_match_under(both_ways, Graph(2, ((1, 2), (1, 2))), ident2)
+    assert edges_match_under(both_ways, Graph(2, ((1, 2), (1, 2))), swap)
+    assert not edges_match_under(both_ways, Graph(2, ((1, 2), (2, 2))), ident2)
+    looped_both = Digraph(2, ((1, 2), (2, 1), (2, 2)))
+    assert edges_match_under(looped_both, Graph(2, ((2, 2), (1, 2), (2, 1))), ident2)
+    assert not edges_match_under(looped_both, Graph(2, ((1, 2), (2, 2), (2, 2))), ident2)
+
+
 def test_parse_graph_round_trip():
     text = "# comment\np 4\n\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
     G = parse_graph(text)

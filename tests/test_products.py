@@ -44,6 +44,7 @@ from edgemagic import (
     valence_count_floor,
     valence_of,
 )
+from edgemagic import products
 from naive import naive_kronecker
 
 
@@ -377,6 +378,34 @@ def test_crown_valence_table_is_the_full_interval():
     assert sorted(table) == list(range(28, 48))
     for k, lab in table.items():
         assert valence_of(crown, lab) == k
+
+
+def test_crown_cycle_route_composes_once_per_center(monkeypatch):
+    calls = []
+
+    def counted(D, members):
+        calls.append(D)
+        return tensor_product(D, members)
+
+    monkeypatch.setattr(products, "tensor_product", counted)
+    for n, labelings in ((2, CYCLE4_EM_LABELINGS[:1]), (2, CYCLE4_EM_LABELINGS), (3, CYCLE4_EM_LABELINGS)):
+        calls.clear()
+        star_product_valences(4, n, labelings)
+        assert sum(D == orient_cycle(4) for D in calls) == n + 1
+        # the star route's product depends on each labeling's renumbering
+        assert len(calls) == n + 1 + 2 * len(labelings)
+
+
+def test_crown_table_refuses_bad_cycle_labelings():
+    good = CYCLE4_EM_LABELINGS[0]
+    skew = TotalLabeling((1, 2, 3, 4), (5, 6, 7, 8))
+    with pytest.raises(ValueError, match="cycle labeling is not edge magic"):
+        star_product_valences(4, 2, (good, skew))
+    with pytest.raises(InvalidLabelingError):
+        star_product_valences(4, 2, (good, TotalLabeling((1, 2, 3), (4, 5, 6))))
+    # each labeling is checked in turn: the first bad one is the one refused
+    with pytest.raises(InvalidLabelingError):
+        star_product_valences(4, 2, (TotalLabeling((1, 2, 3), (4, 5, 6)), skew))
 
 
 def test_all_centers_flag_changes_nothing_for_the_crown_table():
