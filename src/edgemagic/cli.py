@@ -11,7 +11,7 @@ Exit codes: 0 when the command succeeded and any claimed property holds,
 1 when a property fails (a labeling that is not magic, a mismatched
 prediction, a re-check that disagrees), 2 for unusable input (parse
 errors, budget refusals, unknown flags), 3 for an internal fault (a
-failed self-check, exhausted recursion depth or memory).  Unusable
+failed self-check or exhausted memory).  Unusable
 files, budget refusals and internal faults print one "error:" line on
 stderr instead of a traceback.
 
@@ -42,6 +42,7 @@ from .decomp import (
 from .errors import EdgeMagicError, ParseError
 from .graphs import (
     Digraph,
+    Graph,
     _construct,
     _records,
     bipartition,
@@ -75,6 +76,7 @@ from .products import (
 )
 from .search import (
     DEFAULT_CAP,
+    SpectrumReport,
     em_spectrum,
     first_em_labeling,
     sem_spectrum,
@@ -157,6 +159,15 @@ def _interval_checks(kind: str, p: int, q: int, rep: IntervalReport) -> bool:
     )
 
 
+def _spectrum_checks(G: Graph, rep: SpectrumReport) -> bool:
+    """Re-check a spectrum: its interval against the pairing identity and
+    every witness against G."""
+    recheck = is_super_edge_magic if rep.kind == "sem" else valence_of
+    return _interval_checks(rep.kind, G.p, G.q, rep.interval) and all(
+        recheck(G, w) == k for k, w in rep.witnesses.items()
+    )
+
+
 def _labeling_json(f: TotalLabeling) -> dict[str, list[int]]:
     return {
         "vertex_labels": list(f.vertex_labels),
@@ -224,10 +235,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if out and os.path.exists(out) and os.path.samefile(out, args.graphfile):
         raise ValueError(f"{out}: the --witnesses file would overwrite the input graph")
     rep = (sem_spectrum if args.kind == "sem" else em_spectrum)(G, args.cap)
-    recheck = is_super_edge_magic if args.kind == "sem" else valence_of
-    verified = _interval_checks(args.kind, G.p, G.q, rep.interval) and all(
-        recheck(G, w) == k for k, w in rep.witnesses.items()
-    )
+    verified = _spectrum_checks(G, rep)
     if out and verified:
         payload = {str(k): _labeling_json(w) for k, w in sorted(rep.witnesses.items())}
         _write_atomically(out, payload)
@@ -335,11 +343,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _repro_c4_spectrum() -> tuple[dict[str, Any], bool]:
     G = mk_cycle(4)
     rep = em_spectrum(G)
-    ok = (
-        list(rep.achieved) == [12, 13, 14, 15]
-        and _interval_checks("em", G.p, G.q, rep.interval)
-        and all(valence_of(G, w) == k for k, w in rep.witnesses.items())
-    )
+    ok = list(rep.achieved) == [12, 13, 14, 15] and _spectrum_checks(G, rep)
     return {
         "achieved": list(rep.achieved),
         "interval": _interval_json(rep.interval),
@@ -375,7 +379,7 @@ def _repro_k1nl_perfect() -> tuple[dict[str, Any], bool]:
             rep.perfect
             and len(rep.achieved) == n + 1
             and list(rep.achieved) == list(rep.interval.values())
-            and all(is_super_edge_magic(star, w) == k for k, w in rep.witnesses.items())
+            and _spectrum_checks(star, rep)
         )
         rows.append({"n": n, "achieved": list(rep.achieved), "perfect": rep.perfect})
         ok = ok and good
@@ -486,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, MemoryError) as exc:
-        # RuntimeError covers the self-checks and RecursionError
+        # RuntimeError covers the self-checks
         print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -41,6 +41,7 @@ from .products import (
     LabeledDigraph,
     _fiber_map,
     _realize,
+    _route,
     star_loop_labeling,
     induced_labeling_from_sem_factors,
     tensor_product,
@@ -244,7 +245,7 @@ def induced_s2n_labeling(
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
     # _realize has verified the valence on the doubling; a super edge magic
     # base leaves only the vertex label range to check
-    lab = _realize(ind, s.graph, s2n_iso_map(s, r))
+    lab = _realize(ind, s.graph, _route(ind.product, s.graph, s2n_iso_map(s, r)))
     if sorted(f.vertex_labels) == list(range(1, G.p + 1)):
         if sorted(lab.vertex_labels) != list(range(1, s.graph.p + 1)):
             raise RuntimeError("transported labeling lost the vertex label range")

@@ -143,40 +143,6 @@ def complement(G: Graph, f: TotalLabeling) -> TotalLabeling:
     )
 
 
-def _correspondence(
-    src: Graph | Digraph, dst: Graph, vertex_map: Mapping[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The checked correspondence behind transport: for each vertex and
-    each edge of dst, in order, the 0-based position of the src vertex or
-    edge that vertex_map carries onto it.
-
-    Raises ValueError unless both sides have pairwise distinct unordered
-    endpoint pairs and edges_match_under(src, dst, vertex_map) holds.
-    """
-    pairs = _pairs(src)
-    distinct = len({(u, v) if u <= v else (v, u) for u, v in pairs}) == src.q
-    if not distinct or len(set(dst.edges)) != dst.q:
-        raise ValueError("transport needs pairwise distinct edge pairs on both sides")
-    if not edges_match_under(src, dst, vertex_map):
-        raise ValueError("vertex_map does not carry the source's edges onto the target's")
-    pos = {e: i for i, e in enumerate(dst.edges)}
-    vsrc = [0] * dst.p
-    for v in range(1, src.p + 1):
-        vsrc[vertex_map[v] - 1] = v - 1
-    esrc = [0] * dst.q
-    for i, (u, v) in enumerate(pairs):
-        a, b = vertex_map[u], vertex_map[v]
-        esrc[pos[(a, b) if a <= b else (b, a)]] = i
-    return tuple(vsrc), tuple(esrc)
-
-
-def _carry(f: TotalLabeling, correspondence) -> TotalLabeling:
-    """f's labels read off in the target's order of a _correspondence."""
-    vsrc, esrc = correspondence
-    vl, el = f.vertex_labels, f.edge_labels
-    return TotalLabeling(tuple([vl[i] for i in vsrc]), tuple([el[i] for i in esrc]))
-
-
 def transport(
     src: Graph | Digraph, f: TotalLabeling, vertex_map: Mapping[int, int], dst: Graph
 ) -> TotalLabeling:
@@ -188,7 +154,21 @@ def transport(
     u->v beside v->u are not) so the edge correspondence is unambiguous.
     """
     check_total_labeling(src, f)
-    return _carry(f, _correspondence(src, dst, vertex_map))
+    pairs = _pairs(src)
+    distinct = len({(u, v) if u <= v else (v, u) for u, v in pairs}) == src.q
+    if not distinct or len(set(dst.edges)) != dst.q:
+        raise ValueError("transport needs pairwise distinct edge pairs on both sides")
+    if not edges_match_under(src, dst, vertex_map):
+        raise ValueError("vertex_map does not carry the source's edges onto the target's")
+    pos = {e: i for i, e in enumerate(dst.edges)}
+    vl = [0] * dst.p
+    for v in range(1, src.p + 1):
+        vl[vertex_map[v] - 1] = f.vertex_labels[v - 1]
+    el = [0] * dst.q
+    for i, (u, v) in enumerate(pairs):
+        a, b = vertex_map[u], vertex_map[v]
+        el[pos[(a, b) if a <= b else (b, a)]] = f.edge_labels[i]
+    return TotalLabeling(tuple(vl), tuple(el))
 
 
 def _labeling(records: Iterable[tuple[int, str, tuple[int, ...]]], p: int, q: int) -> TotalLabeling:

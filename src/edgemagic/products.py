@@ -27,10 +27,9 @@ product in two ways: a directed cycle composed with stars with loops, or
 a star with loop composed with cycle copies, whose crown map is the
 first one's with the factors swapped.  The two routes reach different
 valence ranges, which is how the crown valence tables are assembled.
-The cycle route's product and crown map depend only on the star
-center, so the crown pipeline builds and matches them once per call per
-center; every crown labeling is verified on its product and re-verified
-on the crown.
+The crown pipeline composes the factors as built, so it makes one
+product and one checked crown map per route and call; every crown
+labeling is verified on its product and re-verified on the crown.
 """
 from __future__ import annotations
 
@@ -39,8 +38,6 @@ from typing import Callable, Sequence
 
 from .graphs import Digraph, Graph, mk_crown
 from .labelings import (
-    _carry,
-    _correspondence,
     TotalLabeling,
     check_total_labeling,
     extend_vertex_labeling,
@@ -247,37 +244,55 @@ def induced_labeling_from_sem_factors(
     if v is None:
         raise ValueError("outer labeling is not edge magic")
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
-    return _sem_induced(product, D, outer.labeling, v, key, normalized)
+    return _sem_induced(product, outer.labeling, v, key, normalized)
 
 
 def _sem_induced(
     product: Digraph,
-    D: Digraph,
     f: TotalLabeling,
     v: int,
     key: tuple[int, int],
-    normalized: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
+    members: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
 ) -> InducedProductLabeling:
     """The label arithmetic of induced_labeling_from_sem_factors: f of
-    valence v on D, members of key (p_m, k) normalized per arc, and
-    their product, all checked by the caller."""
+    valence v on the outer digraph, members of key (p_m, k) with their
+    member maps, one per arc, and their product, all checked by the
+    caller.  The members must give each vertex index the same label."""
     p_m, k = key
-    vlabs = [0] * product.p
-    for a in range(1, D.p + 1):
-        base_val = p_m * (f.vertex_labels[a - 1] - 1)
-        base_idx = p_m * (a - 1)
-        for i in range(1, p_m + 1):
-            vlabs[base_idx + i - 1] = base_val + i
+    g = members[0][0].labeling.vertex_labels
+    vlabs = [p_m * (x - 1) + y for x in f.vertex_labels for y in g]
     elabs: list[int] = []
-    for t in range(len(D.arcs)):
+    for t, (M, _) in enumerate(members):
         base = p_m * (f.edge_labels[t] - 1) + k + p_m
-        nm, _ = normalized[t]
-        # normalized member vertices are named by their labels
-        for i, j in nm.digraph.arcs:
-            elabs.append(base - (i + j))
+        lab = M.labeling.vertex_labels
+        elabs.extend([base - lab[i - 1] - lab[j - 1] for i, j in M.digraph.arcs])
     labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
     valence = p_m * (v - 3) + k + p_m
-    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in normalized))
+    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in members))
+
+
+def _em_induced(
+    product: Digraph,
+    D: Digraph,
+    g: Sequence[int],
+    key: tuple[int, int, frozenset[int]],
+    members: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
+) -> InducedProductLabeling:
+    """The label arithmetic of induced_labeling_from_em_factors, read as
+    _sem_induced's: g the super edge magic vertex labels of D and members
+    of key (q_m, sigma, vertex label set)."""
+    q_m, sigma, vset = key
+    total = len(vset) + q_m
+    smax = max(induced_sums(D, g))
+    h = members[0][0].labeling.vertex_labels
+    vlabs = [total * (x - 1) + y for x in g for y in h]
+    elabs: list[int] = []
+    for (x, y), (M, _) in zip(D.arcs, members):
+        base = total * (smax - (g[x - 1] + g[y - 1]))
+        elabs.extend([base + el for el in M.labeling.edge_labels])
+    labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
+    valence = total * (smax - 2) + sigma
+    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in members))
 
 
 def induced_labeling_from_em_factors(
@@ -297,28 +312,9 @@ def induced_labeling_from_em_factors(
         raise ValueError("outer digraph needs as many arcs as vertices")
     if is_super_edge_magic(D, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
-    (q_m, sigma, vset), normalized = _common_key(D, assignment, em_factor_key)
-    p_m = len(vset)
-    total = p_m + q_m
-    g = outer.labeling.vertex_labels
-    smax = max(induced_sums(D, g))
+    key, normalized = _common_key(D, assignment, em_factor_key)
     product = tensor_product(D, [nm.digraph for nm, _ in normalized])
-    common = sorted(vset)
-    vlabs = [0] * product.p
-    for i in range(1, D.p + 1):
-        base_val = total * (g[i - 1] - 1)
-        base_idx = p_m * (i - 1)
-        for a in range(1, p_m + 1):
-            vlabs[base_idx + a - 1] = base_val + common[a - 1]
-    elabs: list[int] = []
-    for t, (x, y) in enumerate(D.arcs):
-        base = total * (smax - (g[x - 1] + g[y - 1]))
-        nm, _ = normalized[t]
-        for el in nm.labeling.edge_labels:
-            elabs.append(base + el)
-    labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
-    valence = total * (smax - 2) + sigma
-    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in normalized))
+    return _em_induced(product, D, outer.labeling.vertex_labels, key, normalized)
 
 
 def star_loop_labeling(n: int, r: int) -> LabeledDigraph:
@@ -396,27 +392,28 @@ def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> di
     }
 
 
-def _matched(step: Callable, *args):
-    """step(*args), a transport step that matches a product onto its
-    target; a mismatch is a fault of the stated map, not of the input."""
+def _route(product: Digraph, target: Graph, iso: dict[int, int]) -> TotalLabeling:
+    """Where each vertex and edge of target comes from in product along
+    iso: the transport of the labeling that numbers product's vertices
+    1..p and its edges p+1..p+q.  A mismatch is a fault of the stated
+    map, not of the input."""
+    p = product.p
+    positions = TotalLabeling(range(1, p + 1), range(p + 1, p + product.q + 1))
     try:
-        return step(*args)
+        return transport(product, positions, iso, target)
     except ValueError:
         raise RuntimeError("product does not match the target under the stated map") from None
 
 
-def _reverified(ind: InducedProductLabeling, target: Graph, lab: TotalLabeling) -> TotalLabeling:
-    """lab, ind's labeling carried onto target, once its valence is
-    re-checked there."""
+def _realize(ind: InducedProductLabeling, target: Graph, route: TotalLabeling) -> TotalLabeling:
+    """ind's labeling carried onto target along a _route from its
+    product, once its valence is re-checked there."""
+    # position x of product holds label read(x)
+    read = (0, *ind.labeling.vertex_labels, *ind.labeling.edge_labels).__getitem__
+    lab = TotalLabeling(tuple(map(read, route.vertex_labels)), tuple(map(read, route.edge_labels)))
     if valence_of(target, lab) != ind.valence:
         raise RuntimeError("transported labeling lost its valence")
     return lab
-
-
-def _realize(ind: InducedProductLabeling, target: Graph, iso: dict[int, int]) -> TotalLabeling:
-    """Carry an induced labeling onto target along iso, which transport
-    matches edge by edge, re-checking that the valence survives."""
-    return _reverified(ind, target, _matched(transport, ind.product, ind.labeling, iso, target))
 
 
 def star_product_valences(
@@ -434,36 +431,38 @@ def star_product_valences(
     where it adds valences the first route cannot reach, unless
     all_centers is set.
 
-    The cycle route's product and crown map do not depend on the cycle
-    labeling, so each center's are built and matched once per call; each
-    labeling is then verified on the product and again on the crown.
+    Neither route renumbers its factors: every star_loop_labeling(n, r)
+    has the same digraph, and each cycle labeling is rotated to put its
+    least vertex label on vertex 1.  So each route's product and crown
+    map are built and matched once per call, and each (labeling, center)
+    pair is verified on its product and again on the crown.
     """
     crown = mk_crown(m, n)
     cyc = orient_cycle(m)
-    star_centers = range(1, n + 2) if all_centers else (1, n + 1)
     stars = {r: star_loop_labeling(n, r) for r in range(1, n + 2)}
-    routes = []
-    for r, star in stars.items():
-        key, normalized = _common_key(cyc, ArcAssignment.constant(star, m), sem_factor_key)
-        product = tensor_product(cyc, [nm.digraph for nm, _ in normalized])
-        iso = crown_iso_from_cycle_product(m, n, r)
-        routes.append((key, normalized, product, _matched(_correspondence, product, crown, iso)))
+    # every star_loop_labeling(n, r) has this digraph: center 1, loop first
+    star = stars[1].digraph
+    star_members = [(sem_factor_key(S), ((S, tuple(range(1, n + 2))),) * m) for S in stars.values()]
+    star_centers = range(1, n + 2) if all_centers else (1, n + 1)
+    cycle_product = tensor_product(cyc, (star,) * m)
+    cycle_route = _route(cycle_product, crown, crown_iso_from_cycle_product(m, n, 1))
+    star_product = tensor_product(star, (cyc,) * (n + 1))
+    star_route = _route(star_product, crown, crown_iso_from_star_product(m, n, range(1, m + 1)))
     found: dict[int, TotalLabeling] = {}
     for L in cycle_labelings:
-        cycle_member = LabeledDigraph(cyc, L)
         v = valence_of(cyc, L)
         if v is None:
             raise ValueError("cycle labeling is not edge magic")
-        for key, normalized, product, correspondence in routes:
-            ind = _sem_induced(product, cyc, L, v, key, normalized)
-            lab = _carry(ind.labeling, correspondence)
-            found.setdefault(ind.valence, _reverified(ind, crown, lab))
+        for key, members in star_members:
+            ind = _sem_induced(cycle_product, L, v, key, members)
+            found.setdefault(ind.valence, _realize(ind, crown, cycle_route))
+        vl, el = L.vertex_labels, L.edge_labels
+        s = vl.index(min(vl))
+        rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
+        key, members = em_factor_key(rotated), ((rotated, tuple(range(1, m + 1))),) * (n + 1)
         for r in star_centers:
-            ind = induced_labeling_from_em_factors(
-                stars[r], ArcAssignment.constant(cycle_member, n + 1)
-            )
-            star_iso = crown_iso_from_star_product(m, n, ind.member_maps[0])
-            found.setdefault(ind.valence, _realize(ind, crown, star_iso))
+            ind = _em_induced(star_product, star, stars[r].labeling.vertex_labels, key, members)
+            found.setdefault(ind.valence, _realize(ind, crown, star_route))
     return found
 
 

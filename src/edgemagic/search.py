@@ -119,7 +119,7 @@ after a tight c removes its pairs with two more ands.
 Every witness, mirrored ones included, is re-verified before it is
 reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
-forever.
+forever, and so is a search deeper than the recursion limit allows.
 """
 from __future__ import annotations
 
@@ -334,8 +334,14 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                 free[lab] = 1
             return False
 
-        if not place(0, q * k - fixed):
-            return None
+        try:
+            if not place(0, q * k - fixed):
+                return None
+        except RecursionError:
+            raise BudgetExceededError(
+                f"refusing exhaustive search: depth {live} (vertices of positive degree)"
+                " exceeds the interpreter's recursion limit"
+            ) from None
         return TotalLabeling(tuple(vlab[1:]), tuple(k - vlab[u] - vlab[v] for u, v in G.edges))
 
     return find

@@ -208,14 +208,25 @@ def test_spectrum_refuses_to_write_witnesses_over_its_input(files, capsys, tmp_p
     assert (tmp_path / "p3.g").read_text(encoding="utf-8") == "p 3\ne 1 2\ne 2 3\n"
 
 
-def test_internal_faults_exit_with_code_three(files, capsys):
-    # the search recurses once per vertex of positive degree, so the
-    # 1100 vertices of K1,1099 drive it past the recursion limit
-    deep = files("deep.g", format_graph(mk_complete_bipartite(1, 1099)))
-    code = main(["spectrum", "--kind", "em", "--cap", "5000", deep])
+def test_internal_faults_exit_with_code_three(files, capsys, monkeypatch):
+    # a self-check made to fail: the search's witness re-check disagrees
+    monkeypatch.setattr("edgemagic.search.valence_of", lambda G, f: None)
+    code = main(["spectrum", "--kind", "em", files("c4.g", C4_TEXT)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "RecursionError" in err
+    assert err.startswith("error: internal fault: RuntimeError:") and "bad witness" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_a_search_too_deep_for_the_interpreter_is_a_budget_refusal(files, capsys):
+    # the search recurses once per vertex of positive degree, so the
+    # 1100 vertices of K1,1099 would drive it past the recursion limit
+    deep = files("deep.g", format_graph(mk_complete_bipartite(1, 1099)))
+    code = main(["spectrum", "--kind", "em", "--cap", "5000", deep])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing exhaustive search: depth 1100")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -40,6 +40,7 @@ from edgemagic import (
     star_loop_labeling,
     star_product_valences,
     tensor_product,
+    transport,
     underlying,
     valence_count_floor,
     valence_of,
@@ -380,20 +381,84 @@ def test_crown_valence_table_is_the_full_interval():
         assert valence_of(crown, lab) == k
 
 
-def test_crown_cycle_route_composes_once_per_center(monkeypatch):
-    calls = []
+def test_crown_table_composes_twice_per_call(monkeypatch):
+    outers, made, matched = [], [], []
 
     def counted(D, members):
-        calls.append(D)
-        return tensor_product(D, members)
+        outers.append(D)
+        made.append(tensor_product(D, members))
+        return made[-1]
+
+    def counted_match(src, f, iso, dst):
+        matched.append(src)
+        return transport(src, f, iso, dst)
 
     monkeypatch.setattr(products, "tensor_product", counted)
-    for n, labelings in ((2, CYCLE4_EM_LABELINGS[:1]), (2, CYCLE4_EM_LABELINGS), (3, CYCLE4_EM_LABELINGS)):
-        calls.clear()
-        star_product_valences(4, n, labelings)
-        assert sum(D == orient_cycle(4) for D in calls) == n + 1
-        # the star route's product depends on each labeling's renumbering
-        assert len(calls) == n + 1 + 2 * len(labelings)
+    monkeypatch.setattr(products, "transport", counted_match)
+    for m, n in ((3, 1), (4, 2), (4, 3), (5, 2)):
+        witnesses = tuple(em_spectrum(mk_cycle(m)).witnesses.values())
+        star = star_loop_labeling(n, 1).digraph
+        for labelings in ((), witnesses[:1], witnesses):
+            for all_centers in (False, True):
+                for calls in (outers, made, matched):
+                    calls.clear()
+                star_product_valences(m, n, labelings, all_centers=all_centers)
+                # one product and one crown match per route, whatever the
+                # labelings and centers
+                assert outers == [orient_cycle(m), star]
+                assert matched == made
+
+
+def _crown_table_oracle(m, n, labelings, all_centers):
+    """The crown table built through the public functions: each labeling
+    induced on a product of normalized factors, then transported along
+    the crown map that the normalization calls for."""
+    crown, cyc = mk_crown(m, n), orient_cycle(m)
+    found = {}
+    for L in labelings:
+        member = LabeledDigraph(cyc, L)
+        for r in range(1, n + 2):
+            star = ArcAssignment.constant(star_loop_labeling(n, r), m)
+            ind = induced_labeling_from_sem_factors(member, star)
+            iso = crown_iso_from_cycle_product(m, n, r)
+            found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
+        for r in range(1, n + 2) if all_centers else (1, n + 1):
+            ind = induced_labeling_from_em_factors(
+                star_loop_labeling(n, r), ArcAssignment.constant(member, n + 1)
+            )
+            iso = crown_iso_from_star_product(m, n, ind.member_maps[0])
+            found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
+    return found
+
+
+def _dihedral_images(L: TotalLabeling):
+    """L moved by every rotation and reflection of its cycle: vertex
+    v -> m+1-v sends edge i to edge m-i and edge m to itself."""
+    vl, el = L.vertex_labels, L.edge_labels
+    for v, e in ((vl, el), (vl[::-1], el[-2::-1] + el[-1:])):
+        for s in range(len(v)):
+            yield TotalLabeling(v[s:] + v[:s], e[s:] + e[:s])
+
+
+def test_crown_tables_match_the_public_function_oracle():
+    # each image alone with every star center, so no labeling's entries
+    # are shadowed (for one labeling the table without all_centers is a
+    # part of this one), then the witness lists, which fix which labeling
+    # wins, with all_centers off and on
+    tables = 0
+    for m in range(3, 8):
+        witnesses = list(em_spectrum(mk_cycle(m)).witnesses.values())
+        images = [image for w in witnesses for image in _dihedral_images(w)]
+        cases = [([L], True) for L in images]
+        cases += [(witnesses, False), (witnesses, True)]
+        for n in (1, 2, 3):
+            for labelings, all_centers in cases:
+                table = star_product_valences(m, n, labelings, all_centers=all_centers)
+                expected = _crown_table_oracle(m, n, labelings, all_centers)
+                assert list(table.items()) == list(expected.items())
+                tables += 1
+    # per n: 280 images of the 26 witnesses, and 10 witness lists
+    assert tables == 3 * (280 + 10)
 
 
 def test_crown_table_refuses_bad_cycle_labelings():
