@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Six exact devices keep the search small.
+Five exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -19,21 +19,56 @@ raw_min + raw_max of the window, so only the valences k with 2k <= c are
 searched, and the witness reported for c-k is the dual of the witness
 found for k.
 
-Bound.  Summing the edge equation over all q edges gives q*k = sum of
-deg(v) * f(v) over the vertices + the sum of the edge labels.  Once some
-vertices are placed, the unknown part of that sum belongs to the unplaced
-vertices, weighted by their degrees (a loop counts twice), and to the
-edges not yet forced, weighted 1, and these take exactly the free labels.
-Pairing the weights in descending order with the free labels ascending,
-and then descending, gives its least and greatest values (the
-rearrangement extremes of intervals._extremes).  A partial labeling whose
-remainder, q*k minus the known part, falls outside them cannot be
-completed and is cut before the next vertex is placed.  For super edge
-magic labelings the edge labels are p+1..p+q, a constant sum taken off
-q*k once at the root, and only the free vertex labels take weights.  The
-bound only cuts branches without a completion and leaves the order of
+Remainder.  Each label 1..p+q is used once, so the labels sum to
+T = (p+q)(p+q+1)/2, and summing the edge equation over all q edges gives
+q*k - T = sum of (deg(v) - 1) * f(v) over the vertices (Kotzig and Rosa,
+Canad. Math. Bull. 1970; a loop counts twice in deg(v)).  A super edge
+magic labeling puts 1..p on the vertices and p+1..p+q on the edges, so
+with b the least degree, q*k - (p+1 + ... + p+q) - b*p(p+1)/2 = sum of
+(deg(v) - b) * f(v).  With base = 1 for edge magic and b for super edge
+magic labelings, the search starts from that left side and placing v
+with label x takes (deg(v) - base) * x off it, so at depth i the
+remainder it passes down is the sum of (deg(v) - base) * f(v) over the
+unplaced vertices U, whichever labels the forced edges took.  Three
+checks read it.
+
+The bound.  The vertices of U take free labels: for super edge magic
+labelings exactly the free vertex labels, for edge magic ones those of
+the free labels that the edges not yet forced, weight 0, leave over.  Pairing the
+weights in descending order with the free labels ascending, and then
+descending, gives the least and greatest values of the sum (the
+rearrangement extremes of intervals._extremes); a remainder outside them
+cannot be made up and the node is cut.  A free label paired with no
+weight counts 0, so trailing zero weights are left out; only an edge
+magic graph with isolated vertices, weight -1 each, lists a weight for
+every free label: its unplaced degrees less 1, a 0 per unforced edge and
+a -1 per isolated vertex.  Both extremes are read lazily from the two ends of the free
+labels, with no list built per node.
+
+The congruence.  The gcd g_i of the weights of U must divide the
+remainder.  The moduli are computed once per graph for every depth,
+isolated vertices included (edge magic weight -1, so g_i = 1 while one
+is unplaced).  g_i = 0 says the weighted sum is 0, which the bound
+already enforces, and g_i = 1 cuts nothing, so only larger moduli are
+checked.  Placing the vertex v at depth i - 1 with label x moves the
+remainder by v's weight times x, a multiple of g_(i-1); so where g_i
+equals g_(i-1), the residue modulo g_i is the one already checked at a
+shallower depth and the check is skipped.  At the root the edge magic
+check reads q*k = T (mod g_0): the degrees of K4 are all 3, so g_0 = 2
+and 6k - 55 is odd, and no valence is searched, the parity argument for
+odd-regular graphs with p = 4 (mod 8) of Craft and Tesar (Discrete Math.
+1999); the odd valences of K3,3 fall the same way.
+
+The last weighted vertex.  When no vertex after v has a nonzero weight,
+the remainder left after v must be 0, so v takes the one label
+remainder / (deg(v) - base), if that is an integer inside v's range, and
+the search tries it alone instead of looping over the free labels.  An
+isolated vertex weighs -1 for edge magic labelings, so there this holds
+only for graphs without one.
+
+The three checks cut only branches without a completion and leave the order of
 the search alone, so each searched valence yields the same first witness
-as the search without it.
+as the search without them.
 
 Twins.  Labels are tried in ascending order and every cut above removes
 only branches without a completion, so the witness found for a valence
@@ -52,30 +87,6 @@ are left out: two of them with the same neighbour multiset are adjacent,
 and the swap must then also trade their loops and keep the edges between
 them, an argument not made here; nor are adjacent vertices with the same
 closed neighbourhood used.
-
-Congruence.  Each label 1..p+q is used once, so the labels sum to
-T = (p+q)(p+q+1)/2 and the summed edge equation reads
-q*k - T = sum of (deg(v) - 1) * f(v) over the vertices.  At depth i the
-unplaced vertices U and the edges not yet forced take exactly the free
-labels, so the remainder minus the sum of the free labels equals the sum
-of (deg(v) - 1) * f(v) over U, and the gcd g_i of those weights must
-divide it.  For super edge magic labelings U takes exactly the free
-vertex labels; with d the degree of any vertex of U, the remainder minus
-d times their sum equals the sum of (deg(v) - d) * f(v) over U, and g_i
-is the gcd of the degree differences within U.  The moduli are computed
-once per graph for every depth, isolated vertices included (an isolated
-vertex has edge magic weight -1, so g_i = 1 while one is unplaced).
-g_i = 0 says the weighted sum is 0, which the bound already enforces,
-and g_i = 1 cuts nothing, so only larger moduli are checked.  Placing
-the vertex v at depth i - 1 with label x moves that residue by v's
-weight times x, a multiple of g_(i-1); so where g_i equals g_(i-1), the
-residue modulo g_i is the one already checked at a shallower depth and
-the check is skipped.  At the root the edge magic check reads
-q*k = T (mod g_0): the degrees of K4 are all 3, so g_0 = 2 and 6k - 55
-is odd, and no valence is searched, the parity argument for odd-regular
-graphs with p = 4 (mod 8) of Craft and Tesar (Discrete Math. 1999); the
-odd valences of K3,3 fall the same way.  The cut removes only branches
-without a completion, so no witness changes.
 
 Middle.  At the self-dual valence k = c/2 the dual of a witness is a
 witness of the same valence, and so is that dual composed with the swap
@@ -108,7 +119,7 @@ other vertex or edge can take their labels: another such vertex b must
 then find one pair for each unplaced neighbour it does not share with c
 among the labels that are left (its own edges and those neighbours take
 no label of c's pairs).  A node where some such c or b falls short has
-no completion and is cut once the bound passes, so no witness changes.
+no completion and is cut, so no witness changes.
 The vertices c, their r and, for each other b at the same depth, b's
 unshared count are planned once per graph for every depth, with one
 integer bitmask of later neighbours per vertex; at a node the free
@@ -116,13 +127,20 @@ labels are read as two integers, one of them byte-reversed, each vertex
 checked costs one shift, one and, and one bit count, and the recount
 after a tight c removes its pairs with two more ands.
 
+At each node the congruence is checked first, one modulo, then the
+pairs, a few integer operations per vertex checked, and the bound last,
+two dot products over the free labels; every cut is exact, so the order
+sets only what a node costs, not which nodes are visited.
+
 Every witness, mirrored ones included, is re-verified before it is
 reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
-forever, and so is a search deeper than the recursion limit allows.
+forever, and so is a search deeper than the recursion limit allows on
+top of the frames its caller already uses.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -167,23 +185,24 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     """Plan the search once per graph and return the search for one valence.
 
     The plan holds the vertex order (degree descending, index ascending),
-    for each position the other ends of the edges forced there and the
-    previous twin, the bound's weights for each depth, largest first, the
-    congruence modulus for each depth, 0 where it needs no check, and the
-    positions of the first vertex and of its twins, which the middle cut
-    bounds at the valence mirror / 2, and for each depth the placed
-    vertices whose open edges the pair count checks, each with what the
-    others still need when its own pairs are all spoken for.
-    The unplaced degrees are a slice of the order; zero degrees add
-    nothing to the bound and are left out of its weights.
+    for each position the other ends of the edges forced there, the
+    previous twin and the vertex's weight deg(v) - base, for each depth
+    the bound's weights, largest first, and the congruence modulus, 0
+    where it needs no check, the positions of the first vertex and of its
+    twins, which the middle cut bounds at the valence mirror / 2, and for
+    each depth the placed vertices whose open edges the pair count checks,
+    each with what the others still need when its own pairs are all
+    spoken for.
     Once every vertex of nonzero degree is placed, every edge is forced
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
     is what the search would give them, so they add no recursion depth.
-    One call per vertex of nonzero degree checks the congruence, the bound
-    and the pairs on the remainder and labels passed down, then places
-    the vertex; the witness's edge labels are derived once, at the end,
-    as k - f(u) - f(v).
+    One call per vertex of nonzero degree checks the congruence, the
+    pairs and the bound on the remainder passed down and the free labels,
+    then places the vertex: on its one possible label when it is the last
+    vertex with a weight (its depth's weights are that weight alone), else
+    on each free label in its range in turn; the witness's edge labels
+    are derived once, at the end, as k - f(u) - f(v).
     """
     p, q = G.p, G.q
     total = p + q
@@ -217,18 +236,31 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
             last[key] = v
             if twin[i] and pos[twin[i]] in v0_class:
                 v0_class.add(i)
+    # base: 1 for edge magic labelings and the least degree for super edge
+    # magic ones; steps[i]: the weight deg(v) - base of v = order[i] in the
+    # remainder
+    base = degs[-1] if sem else 1
+    steps = [d - base for d in degs]
+    # weights[i]: deg(v) - base over the vertices v unplaced at depth i,
+    # largest first; an edge magic graph with isolated vertices also
+    # weighs each unforced edge 0 and each isolated vertex -1, elsewhere
+    # the trailing zeros are left out
     unforced = q
     weights: list[list[int]] = []
     for i in range(live):
-        weights.append(degs[i:live] + ([] if sem else [1] * unforced))
+        w = steps[i:live]
+        if live < p and not sem:
+            w += [0] * unforced + [-1] * (p - live)
+        while w and not w[-1]:
+            w.pop()
+        weights.append(w)
         unforced -= len(finishers[i])
     # gcds[i]: the gcd of deg(v) - base over the vertices v unplaced at
     # depth i, isolated ones included; moduli[i] keeps it where it exceeds
     # 1 and differs from gcds[i - 1], and is 0 elsewhere
-    base = degs[-1] if sem else 1
     gcds = [0] * (p + 1)
     for i in reversed(range(p)):
-        gcds[i] = gcd(gcds[i + 1], degs[i] - base)
+        gcds[i] = gcd(gcds[i + 1], steps[i])
     moduli = [g if g > 1 and g != prev else 0 for prev, g in zip([1] + gcds, gcds[:live])]
     # ahead[j]: bit i is set when order[i], i > j, is a neighbour of order[j]
     ahead = [0] * live
@@ -266,7 +298,11 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     width = 8 * total
     from_bytes = int.from_bytes
     labels = range(vmax + 1)  # SEM: compress(labels, free) stops at p
-    fixed = sum(range(p + 1, total + 1)) if sem else 0
+    downs = range(vmax, -1, -1)
+    # the root remainder is q*k - fixed: T = 1 + ... + (p+q) for edge magic
+    # labelings (base 1), p+1 + ... + p+q plus base * (1 + ... + p) for
+    # super edge magic ones
+    fixed = sum(range(p + 1, total + 1)) + base * p * (p + 1) // 2
 
     def find(k: int) -> TotalLabeling | None:
         # free[x] is 1 while label x is unused; 0 is no label
@@ -278,16 +314,13 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
         middle = 2 * k == mirror
 
         def place(i: int, rest: int) -> bool:
-            # rest: q*k less the placed deg(v) * f(v) and the known edge labels
+            # rest: the sum of (deg(v) - base) * f(v) that the unplaced
+            # vertices v must make up
             if i == live:
                 for v, lab in zip(order[live:], compress(labels, free)):
                     vlab[v] = lab
                 return True
-            left = list(compress(labels, free))
-            if moduli[i] and (rest - base * sum(left)) % moduli[i]:
-                return False
-            w = weights[i]
-            if not sum(map(mul, w, left)) <= rest <= sum(map(mul, w, reversed(left))):
+            if moduli[i] and rest % moduli[i]:
                 return False
             if pairs[i]:
                 # label x is bit 8x of fwd, and its partner k - f(c) - x
@@ -310,11 +343,25 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                         for b, nb in others:
                             if (rfwd & (rback >> 8 * vlab[b])).bit_count() < nb:
                                 return False
-            v, d = order[i], degs[i]
-            top = vmax
+            w = weights[i]
+            if not (
+                sum(map(mul, w, compress(labels, free)))
+                <= rest
+                <= sum(map(mul, w, compress(downs, reversed(vfree))))
+            ):
+                return False
+            v, step = order[i], steps[i]
+            lo, top = vlab[twin[i]] + 1, vmax
             if middle and i in v0_class:
                 top = flip - vlab[order[0]] if i else flip // 2
-            for lab in range(vlab[twin[i]] + 1, top + 1):
+            if len(w) == 1:
+                # no later vertex weighs anything, so the remainder left
+                # after v must be 0
+                lab, off = divmod(rest, step)
+                tries = range(lab, lab + 1) if not off and lo <= lab <= top else ()
+            else:
+                tries = range(lo, top + 1)
+            for lab in tries:
                 if not free[lab]:
                     continue
                 free[lab] = 0
@@ -327,7 +374,7 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                     free[e] = 0
                     forced.append(e)
                 else:
-                    if place(i + 1, rest - d * lab - (0 if sem else sum(forced))):
+                    if place(i + 1, rest - step * lab):
                         return True
                 for e in forced:
                     free[e] = 1
@@ -340,11 +387,20 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
         except RecursionError:
             raise BudgetExceededError(
                 f"refusing exhaustive search: depth {live} (vertices of positive degree)"
-                " exceeds the interpreter's recursion limit"
+                " does not fit in the interpreter's recursion limit of"
+                f" {sys.getrecursionlimit()} with {_frames_in_use()} frames already in use"
             ) from None
         return TotalLabeling(tuple(vlab[1:]), tuple(k - vlab[u] - vlab[v] for u, v in G.edges))
 
     return find
+
+
+def _frames_in_use() -> int:
+    """The frames on the caller's stack, this function's own left out."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import hashlib
+import re
+import sys
 from math import gcd
 
 import pytest
@@ -393,6 +395,70 @@ def test_isolated_vertices_add_no_recursion_depth():
     assert (v, w.vertex_labels, w.edge_labels) == (6, (1, 2, *range(4, 1102)), (3,))
     v, w = first_sem_labeling(G, cap=5000)
     assert (v, w.vertex_labels, w.edge_labels) == (1104, tuple(range(1, 1101)), (1101,))
+
+
+def _nested(depth: int, call):
+    """call() under depth + 1 frames of this function."""
+    return call() if depth == 0 else _nested(depth - 1, call)
+
+
+def test_the_depth_refusal_names_the_limit_and_the_frames_in_use():
+    # the search takes one frame per vertex of positive degree on top of
+    # the caller's, so where it is refused depends on the caller's stack;
+    # K1,n with n at the limit is refused from any stack
+    limit = sys.getrecursionlimit()
+    G = mk_complete_bipartite(1, limit)
+    in_use = []
+    for extra in (0, 60):
+        with pytest.raises(BudgetExceededError) as info:
+            _nested(extra, lambda: first_em_labeling(G, cap=3 * limit))
+        match = re.fullmatch(
+            rf"refusing exhaustive search: depth {limit + 1} \(vertices of positive degree\)"
+            rf" does not fit in the interpreter's recursion limit of {limit}"
+            r" with (\d+) frames already in use",
+            str(info.value),
+        )
+        assert match, str(info.value)
+        in_use.append(int(match[1]))
+    assert in_use[1] - in_use[0] == 60
+
+
+# Corner cases of the remainder's weights, deg(v) - 1 for edge magic and
+# deg(v) minus the least degree for super edge magic labelings: a lone
+# loop beside isolated vertices (edge magic: the isolated vertices weigh
+# -1 and each unforced edge 0); isolated vertices beside several edges;
+# trees and a star whose last vertices weigh 0, so that the last weighted
+# vertex takes the one label the remainder leaves; and regular graphs,
+# where every super edge magic weight is 0.
+WEIGHT_CORNERS = [
+    ("loop beside 1 isolated", Graph(2, ((1, 1),)), ("em", "sem")),
+    ("loop beside 6 isolated", Graph(7, ((1, 1),)), ("em", "sem")),
+    ("triangle beside 2 isolated", Graph(5, ((2, 3), (3, 4), (4, 2))), ("em", "sem")),
+    ("P4 beside 1 isolated", Graph(5, ((1, 2), (2, 3), (3, 4))), ("em", "sem")),
+    ("K1,3", mk_complete_bipartite(1, 3), ("em", "sem")),
+    ("fork", Graph(5, ((1, 2), (1, 3), (1, 4), (4, 5))), ("em", "sem")),
+    ("P5", Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5))), ("em", "sem")),
+    ("C3", mk_cycle(3), ("em", "sem")),
+    ("C4", mk_cycle(4), ("em", "sem")),
+    ("C5", mk_cycle(5), ("sem",)),
+]
+
+
+@pytest.mark.parametrize("G, kinds", [c[1:] for c in WEIGHT_CORNERS], ids=[c[0] for c in WEIGHT_CORNERS])
+def test_weight_corner_cases_match_the_oracles(G, kinds):
+    for kind in kinds:
+        spectrum, first = (em_spectrum, first_em_labeling) if kind == "em" else (sem_spectrum, first_sem_labeling)
+        rep = spectrum(G)
+        naive = naive_valences(G, kind)
+        assert list(rep.achieved) == naive, kind
+        hit = first(G)
+        assert (None if hit is None else hit[0]) == (naive[0] if naive else None), kind
+        deg = G.degrees()
+        order = sorted(range(1, G.p + 1), key=lambda v: (-deg[v - 1], v))
+        for k in range(rep.interval.lo, _mirror(G, kind) // 2 + 1):
+            w = rep.witnesses.get(k)
+            got = None if w is None else tuple(w.vertex_labels[v - 1] for v in order)
+            assert got == naive_least_witness(G, kind, k), (kind, k)
 
 
 def test_lower_half_spectrum_witness_is_frozen():
