@@ -37,13 +37,12 @@ from .graphs import (
 )
 from .labelings import TotalLabeling, valence_of
 from .products import (
-    ArcAssignment,
-    LabeledDigraph,
     _fiber_map,
     _realize,
     _route,
+    _sem_induced,
+    sem_factor_key,
     star_loop_labeling,
-    induced_labeling_from_sem_factors,
     tensor_product,
 )
 from .search import DEFAULT_CAP, em_spectrum, sem_spectrum
@@ -237,15 +236,20 @@ def induced_s2n_labeling(
     where v is the valence of f.  When f is super edge magic so is the
     induced labeling.  Returns the doubling, the labeling, its valence.
     """
-    if valence_of(G, f) is None:
+    v = valence_of(G, f)
+    if v is None:
         raise ValueError("base labeling is not edge magic")
     s = build_s2n(G, bip, d, n)
-    outer = LabeledDigraph(s.orientation, f)
+    # every star_loop_labeling(n, r) has its center at vertex 1, so the
+    # orientation composes with it as built and the product's fiber
+    # position 1 carries the originals, whatever r
     star = star_loop_labeling(n, r)
-    ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
+    product = tensor_product(s.orientation, (star.digraph,) * G.q)
+    members = ((star, tuple(range(1, n + 2))),) * G.q
+    ind = _sem_induced(product, f, v, sem_factor_key(star), members)
     # _realize has verified the valence on the doubling; a super edge magic
     # base leaves only the vertex label range to check
-    lab = _realize(ind, s.graph, _route(ind.product, s.graph, s2n_iso_map(s, r)))
+    lab = _realize(ind, s.graph, _route(product, s.graph, s2n_iso_map(s, 1)))
     if sorted(f.vertex_labels) == list(range(1, G.p + 1)):
         if sorted(lab.vertex_labels) != list(range(1, s.graph.p + 1)):
             raise RuntimeError("transported labeling lost the vertex label range")

@@ -101,7 +101,7 @@ stops the label loops of v0 and of its twins there: the cut removes only
 labelings the search would never return, so no witness changes.  The
 first cap needs only the duality, so it holds when v0 has a loop too.
 
-Pairs.  Take a vertex c placed before depth i with r >= 2 distinct
+Pairs.  Take a vertex c placed before depth i with r >= 1 distinct
 unplaced neighbours.  Each such neighbour w and its edge cw will take two
 labels that are free now and sum to s = k - f(c), and distinct
 neighbours take distinct labels, so the free labels must hold r disjoint
@@ -118,14 +118,20 @@ r such pairs for c, every one of them is used by c's open edges, so no
 other vertex or edge can take their labels: another such vertex b must
 then find one pair for each unplaced neighbour it does not share with c
 among the labels that are left (its own edges and those neighbours take
-no label of c's pairs).  A node where some such c or b falls short has
-no completion and is cut, so no witness changes.
+no label of c's pairs).  None of this needs a second neighbour: at
+r = 1 the one open edge cw still takes a pair, since f(w) and f(cw) are
+distinct labels, and when the free labels hold just that pair, w and cw
+take both its labels, so the recount stands as it does for larger r.  A
+node where some such c or b falls short has no completion and is cut, so
+no witness changes.
 The vertices c, their r and, for each other b at the same depth, b's
-unshared count are planned once per graph for every depth, with one
-integer bitmask of later neighbours per vertex; at a node the free
-labels are read as two integers, one of them byte-reversed, each vertex
-checked costs one shift, one and, and one bit count, and the recount
-after a tight c removes its pairs with two more ands.
+unshared count are planned once per graph for every depth: c is listed
+from the depth after its own through that of its last neighbour, with
+one integer bitmask of later neighbours per vertex, shifted one place
+per depth.  At a node the free labels are read as two integers, one of
+them byte-reversed, each vertex checked costs one shift, one and, and
+one bit count, and the recount after a tight c removes its pairs with
+two more ands.
 
 At each node the congruence is checked first, one modulo, then the
 pairs, a few integer operations per vertex checked, and the bound last,
@@ -268,30 +274,28 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
         for c in set(nbrs[w]):
             if pos[c] < i:
                 ahead[pos[c]] |= 1 << i
-    # opens[i]: the positions j of the vertices placed before depth i with
-    # at least two distinct neighbours unplaced there
-    opens: list[list[int]] = [[] for _ in range(live)]
-    for j, later in enumerate(ahead):
-        if later:
-            # through the depth of the second-last of those neighbours
-            for i in range(j + 1, (later ^ 1 << later.bit_length() - 1).bit_length()):
-                opens[i].append(j)
-    # pairs[i]: (c, need, others) for c = order[j], j in opens[i], need its
-    # number of unplaced neighbours counted once for super edge magic
-    # labelings and twice for edge magic ones; others: (b, need) for the
-    # other vertices of opens[i], counting only their unplaced neighbours
-    # that are not c's
+    # pairs[i]: (c, need, others) for each vertex c placed before depth i
+    # with a neighbour unplaced there, need its number of unplaced
+    # neighbours counted once for super edge magic labelings and twice for
+    # edge magic ones; others: (b, need) for the other such vertices,
+    # counting only their unplaced neighbours that are not c's.  row holds
+    # those vertices at depth i, each with the bitmask of its neighbours
+    # unplaced there, bit 0 for order[i]
     per = 1 if sem else 2
     pairs: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = []
-    for i, row in enumerate(opens):
+    row: list[tuple[int, int]] = []
+    for i in range(live):
+        row = [(c, later >> 1) for c, later in row if later > 1]
+        if i and ahead[i - 1]:
+            row.append((order[i - 1], ahead[i - 1] >> i))
         pairs.append([])
-        for j in row:
+        for c, mine in row:
             others = []
-            for l in row:
-                rest = ((ahead[l] & ~ahead[j]) >> i).bit_count()
+            for b, theirs in row:
+                rest = (theirs & ~mine).bit_count()
                 if rest:
-                    others.append((order[l], per * rest))
-            pairs[i].append((order[j], per * (ahead[j] >> i).bit_count(), tuple(others)))
+                    others.append((b, per * rest))
+            pairs[i].append((c, per * mine.bit_count(), tuple(others)))
     # free[:vcut] holds the labels a neighbour may take, free[ecut:] those
     # its edge may take
     vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 0)

@@ -7,12 +7,14 @@ from dataclasses import astuple
 import pytest
 
 from edgemagic import (
+    ArcAssignment,
     Bipartition,
     BudgetExceededError,
     Decomposition,
     Digraph,
     Graph,
     InvalidLabelingError,
+    LabeledDigraph,
     TotalLabeling,
     bipartition,
     build_s2n,
@@ -23,6 +25,7 @@ from edgemagic import (
     enumerate_2_decompositions,
     extend_vertex_labeling,
     first_em_labeling,
+    induced_labeling_from_sem_factors,
     induced_s2n_labeling,
     is_super_edge_magic,
     mk_complete_bipartite,
@@ -31,12 +34,15 @@ from edgemagic import (
     orient_cycle,
     orient_for_decomposition,
     s2n_iso_map,
+    sem_spectrum,
+    star_loop_labeling,
     tensor_product,
+    transport,
     underlying,
     valence_of,
     verify_s2n_iso,
 )
-from edgemagic import decomp
+from edgemagic import decomp, products
 
 P3 = Graph(3, ((1, 2), (2, 3)))
 P4 = Graph(4, ((1, 2), (2, 3), (3, 4)))
@@ -261,6 +267,59 @@ def test_induced_labeling_refuses_a_wrong_fiber_map(monkeypatch):
     monkeypatch.setattr("edgemagic.decomp.s2n_iso_map", swapped)
     with pytest.raises(RuntimeError, match="does not match"):
         induced_s2n_labeling(P3, bip, d, 1, f, 1)
+
+
+def test_induced_labeling_composes_once_and_renumbers_nothing(monkeypatch):
+    made = []
+
+    def counted(D, members):
+        made.append(D)
+        return tensor_product(D, members)
+
+    def refused(member):
+        raise AssertionError("normalize_by_labels called")
+
+    monkeypatch.setattr(decomp, "tensor_product", counted)
+    monkeypatch.setattr(products, "normalize_by_labels", refused)
+    for G in (P3, P4, mk_cycle(4)):
+        bip = bipartition(G)
+        fs = list(em_spectrum(G).witnesses.values())
+        for n in (1, 2):
+            for d in enumerate_2_decompositions(G):
+                for r in range(1, n + 2):
+                    made.clear()
+                    s, _, _ = induced_s2n_labeling(G, bip, d, n, fs[0], r)
+                    assert made == [s.orientation]
+
+
+def _s2n_labeling_oracle(G, bip, d, n, f, r):
+    """The doubling labeling built through the public functions: f
+    induced on the orientation composed with the star normalized by its
+    labels, whose center then sits at fiber position r, and transported
+    along the fiber map that position calls for."""
+    s = build_s2n(G, bip, d, n)
+    outer = LabeledDigraph(orient_for_decomposition(G, bip, d), f)
+    ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star_loop_labeling(n, r), G.q))
+    return s, transport(ind.product, ind.labeling, s2n_iso_map(s, r), s.graph), ind.valence
+
+
+def test_induced_labeling_matches_the_public_function_oracle():
+    # every split, every edge magic and super edge magic witness and
+    # every center of four small bases at one and two copies
+    cases = 0
+    for G in (P4, mk_complete_bipartite(1, 3), mk_cycle(4), mk_complete_bipartite(2, 3)):
+        bip = bipartition(G)
+        fs = list(em_spectrum(G).witnesses.values()) + list(sem_spectrum(G).witnesses.values())
+        for n in (1, 2):
+            for d in enumerate_2_decompositions(G):
+                for f in fs:
+                    for r in range(1, n + 2):
+                        got = induced_s2n_labeling(G, bip, d, n, f, r)
+                        assert got == _s2n_labeling_oracle(G, bip, d, n, f, r)
+                        cases += 1
+    # (splits, witnesses): P4 (6, 4), K1,3 (6, 5), C4 (14, 4), K2,3 (62, 7),
+    # each at 2 + 3 centers
+    assert cases == 5 * (6 * 4 + 6 * 5 + 14 * 4 + 62 * 7)
 
 
 def test_doubling_of_a_magic_graph_is_magic():
