@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Five exact devices keep the search small.
+Six exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -133,8 +133,41 @@ them byte-reversed, each vertex checked costs one shift, one and, and
 one bit count, and the recount after a tight c removes its pairs with
 two more ands.
 
+Homes.  Pairs asks whether the free labels can serve every open edge;
+this cut asks the dual question, whether every free label can still be
+used.  The labeling is a bijection, so the completion uses each free
+label.  From the closing depth on, the first depth at which every edge
+has a placed end, no two unplaced vertices are adjacent and none has a
+loop, so each open edge joins a placed vertex c to an unplaced w, and
+each unplaced vertex of positive degree has such an edge.  A free label
+y then goes to an open edge cw, whose other end takes a = k - f(c) - y,
+free now, or, for edge magic labelings only, to an unplaced vertex w of
+positive degree, whose edge to a placed neighbour c takes a =
+k - f(c) - y, free now; or to an isolated vertex.  In the first two
+roles a and y = k - f(c) - a are both free, so a is in c's pair mask
+m, the set Pairs counts (in the second role a is an edge label and y a
+vertex label, which m does not tell apart for edge magic labelings).
+Reading the labels as back does, y at bit 8(k - y), that is bit
+8(f(c) + a) of m shifted up by 8f(c); so the union of those shifted
+masks over the vertices c that Pairs lists must hold every bit of back,
+every free label up to k, and a node where it misses one has no
+completion and is cut, so no witness changes.  Two gates keep the
+third role out.  For super edge magic labelings back holds only edge
+labels, which no vertex takes, so the check stands with isolated
+vertices too; for edge magic labelings an isolated vertex may take any
+free label, so a graph with one is not checked.  Free labels above k
+are not in back: no open edge or vertex of positive degree can take
+them either, and the check leaves them be, as it does the free vertex
+labels of a super edge magic labeling: checking those too cuts almost
+no node that the edge labels leave.  The masks are the ones the
+Pairs loop builds, so from the closing depth on each vertex it checks
+costs one more shift and one or, and the node one comparison; before
+that depth the check costs a depth test per node and a flag test per
+vertex checked.
+
 At each node the congruence is checked first, one modulo, then the
-pairs, a few integer operations per vertex checked, and the bound last,
+pairs, a few integer operations per vertex checked, then from the
+closing depth on the homes, from the pairs' masks, and the bound last,
 two dot products over the free labels; every cut is exact, so the order
 sets only what a node costs, not which nodes are visited.
 
@@ -198,17 +231,20 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     twins, which the middle cut bounds at the valence mirror / 2, and for
     each depth the placed vertices whose open edges the pair count checks,
     each with what the others still need when its own pairs are all
-    spoken for.
+    spoken for, and the closing depth, the first at which every edge has
+    a placed end, from which on the homes of the free labels are checked
+    (never, for edge magic labelings of a graph with an isolated vertex).
     Once every vertex of nonzero degree is placed, every edge is forced
     and there is nothing left to bound or to search: the isolated
     vertices, last in the order, take the free labels least first, which
     is what the search would give them, so they add no recursion depth.
     One call per vertex of nonzero degree checks the congruence, the
-    pairs and the bound on the remainder passed down and the free labels,
-    then places the vertex: on its one possible label when it is the last
-    vertex with a weight (its depth's weights are that weight alone), else
-    on each free label in its range in turn; the witness's edge labels
-    are derived once, at the end, as k - f(u) - f(v).
+    pairs, the homes and the bound on the remainder passed down and the
+    free labels, then places the vertex: on its one possible label when
+    it is the last vertex with a weight (its depth's weights are that
+    weight alone), else on each free label in its range in turn; the
+    witness's edge labels are derived once, at the end, as
+    k - f(u) - f(v).
     """
     p, q = G.p, G.q
     total = p + q
@@ -296,6 +332,15 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                 if rest:
                     others.append((b, per * rest))
             pairs[i].append((c, per * mine.bit_count(), tuple(others)))
+    # close: the first depth at which every edge has a placed end, that is
+    # from which no two unplaced vertices are adjacent and none has a loop;
+    # the homes are checked from there on.  For edge magic labelings an
+    # isolated vertex may take any free label, so with one close stays at
+    # live, past every depth with pairs
+    close = live
+    if sem or live == p:
+        while close and not ahead[close - 1] and order[close - 1] not in nbrs[order[close - 1]]:
+            close -= 1
     # free[:vcut] holds the labels a neighbour may take, free[ecut:] those
     # its edge may take
     vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 0)
@@ -331,12 +376,18 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                 # is bit 8x of back >> 8f(c)
                 fwd = from_bytes(vfree, "little")
                 back = from_bytes(efree, "big") << lift >> width
+                homes = i >= close
+                home = 0
                 for c, need, others in pairs[i]:
                     f = vlab[c]
                     m = fwd & (back >> 8 * f)
                     n = m.bit_count()
                     if n < need:
                         return False
+                    if homes:
+                        # label k - f - a of each pair {a, k - f - a} in m,
+                        # at bit 8(f + a) as back holds it
+                        home |= m << 8 * f
                     if n < need + per and others:
                         # c's open edges take every pair m holds; the
                         # others must find theirs among the labels left.
@@ -347,6 +398,10 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                         for b, nb in others:
                             if (rfwd & (rback >> 8 * vlab[b])).bit_count() < nb:
                                 return False
+                if homes and home != back:
+                    # a free label up to k that no open edge or unplaced
+                    # vertex can take
+                    return False
             w = weights[i]
             if not (
                 sum(map(mul, w, compress(labels, free)))

@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgemagic import (
     DEFAULT_CAP,
@@ -845,3 +847,73 @@ def test_one_process_gives_the_same_results_call_after_call(tmp_path, monkeypatc
             assert _sha256(wit.read_bytes()) == written["wit-em.json"]
     assert _sha256(first["product-two"].encode()) == two_sha
     assert _sha256(first["spectrum-witnessed"].encode()) == witnessed_sha
+
+
+# Malformed input files: lines of known and unknown directives with too
+# few, too many, negative, huge or non-integer fields, mixed into graph
+# and labeling files that are otherwise well formed (vertices, edges and
+# labels out of range, repeated or missing), beside bytes that are not
+# UTF-8.  Values stay small enough that a graph that parses is cheap to
+# bound and search.
+_FIELD = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["1000001", str(10**18), "2.5", "x", "+3", "0x1", "\u0663", "-"]),
+)
+_LINE = st.one_of(
+    st.builds(
+        lambda head, fields: " ".join([head, *fields]),
+        st.sampled_from(["p", "e", "v", "a", "x", "#", ""]),
+        st.lists(_FIELD, max_size=4),
+    ),
+    st.text(max_size=8),
+)
+
+
+_SMALL = st.integers(-1, 7)
+
+
+@st.composite
+def _inputs(draw):
+    """A graph file and a labeling file: lines for a graph of up to 7
+    vertices and 6 edges and for a labeling of it, with values that may
+    fall out of range or repeat and lines that may be missing, and up to
+    two malformed lines put in anywhere; or bytes that are not text."""
+    p = draw(_SMALL)
+    vertex = st.one_of(st.integers(1, max(p, 1)), _SMALL)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    graph = [f"p {p}", *(f"e {u} {v}" for u, v in edges)]
+    label = st.one_of(st.integers(1, max(p, 0) + len(edges) + 1), st.integers(-1, 14))
+    labeling = [f"v {i} {x}" for i, x in enumerate(draw(st.lists(label, max_size=max(p, 0))), 1)]
+    labeling += [f"e {i} {x}" for i, x in enumerate(draw(st.lists(label, max_size=len(edges))), 1)]
+    files = []
+    for lines in (graph, draw(st.permutations(labeling))):
+        lines = list(lines)
+        if draw(st.booleans()):
+            for at, line in draw(st.lists(st.tuples(st.integers(0, 20), _LINE), min_size=1, max_size=2)):
+                lines.insert(at % (len(lines) + 1), line)
+        text = "\n".join(lines).encode("utf-8", "surrogatepass")
+        files.append(draw(st.binary(max_size=16)) if draw(st.integers(0, 5)) == 0 else text)
+    return files
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(files=_inputs(), command=st.sampled_from(["verify", "interval", "spectrum"]))
+def test_malformed_files_exit_with_a_contract_code(tmp_path, capsys, files, command):
+    graph, labeling = files
+    g, lab = tmp_path / "g.txt", tmp_path / "lab.txt"
+    g.write_bytes(graph)
+    lab.write_bytes(labeling)
+    argv = {
+        "verify": ["verify", str(g), str(lab)],
+        "interval": ["interval", "--kind", "em", str(g)],
+        "spectrum": ["spectrum", "--kind", "sem", "--cap", "10", str(g)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

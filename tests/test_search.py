@@ -763,8 +763,34 @@ def late_neighbour_graphs(draw) -> Graph:
     return Graph(p, tuple((perm[u - 1], perm[v - 1]) for u, v in edges))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=90)
-@given(st.one_of(hub_rich_graphs(), late_neighbour_graphs()))
+@st.composite
+def closing_graphs(draw) -> Graph:
+    """Graphs with p+q <= 10 and p <= 6 that reach the closing depth, the
+    first at which every edge has a placed end, with labels left for
+    several placed vertices: K2,n and K3,n with up to two pendants, and
+    stars with a loop at the center, each beside 0-2 isolated vertices
+    (an isolated vertex may take any free label for edge magic
+    labelings, only a vertex label for super edge magic ones), with
+    their vertices renumbered so that plan order ties fall either way."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+        edges = [(i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        p = m + n
+        for v in draw(st.lists(st.integers(1, m + n), max_size=2)):
+            p += 1
+            edges.append((v, p))
+    else:
+        m = draw(st.integers(1, 4))
+        edges = [(1, leaf) for leaf in range(2, m + 2)] + [(1, 1)]
+        p = m + 1
+    p += draw(st.integers(0, 2))
+    assume(p + len(edges) <= 10 and p <= 6)
+    perm = draw(st.permutations(range(1, p + 1)))
+    return Graph(p, tuple((perm[u - 1], perm[v - 1]) for u, v in edges))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=135)
+@given(st.one_of(hub_rich_graphs(), late_neighbour_graphs(), closing_graphs()))
 def test_lower_half_witnesses_are_the_least_in_plan_order(G):
     # the search returns, at each searched valence, the least vertex-label
     # tuple in plan order, so every exact cut must keep that labeling
