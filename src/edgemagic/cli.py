@@ -201,6 +201,9 @@ def _assignment(text: str, members: list[LabeledDigraph], arcs: int) -> ArcAssig
 
 def _parse_indices(raw: str) -> frozenset[int]:
     try:
+        # the integer spelling of the input files: ASCII digits, no '+' or '_'
+        if not raw.isascii() or "+" in raw or "_" in raw:
+            raise ValueError
         indices = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"edge indices must be integers: {raw!r}") from None

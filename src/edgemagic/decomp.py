@@ -45,7 +45,7 @@ from .products import (
     star_loop_labeling,
     tensor_product,
 )
-from .search import DEFAULT_CAP, em_spectrum, sem_spectrum
+from .search import DEFAULT_CAP, _search
 
 __all__ = [
     "Decomposition",
@@ -289,6 +289,19 @@ def _not_an_instance(n: int, reason: str) -> ObstructionReport:
     return ObstructionReport(instance=False, n=n, overall="not-an-instance", reason=reason)
 
 
+def _counts(H: Graph, cap: int) -> tuple[int | None, int | None]:
+    """How many edge magic and super edge magic valences H reaches, or
+    (None, None) when a search is refused.  Every super edge magic
+    labeling is edge magic with the same valence, so the edge magic search
+    takes the super edge magic witnesses, and their complements, as known
+    and searches only the valences they leave open."""
+    try:
+        sem = dict(_search(H, "sem", cap)[1])
+        return sum(1 for _ in _search(H, "em", cap, sem)[1]), len(sem)
+    except BudgetExceededError:
+        return None, None
+
+
 def obstruction_report(
     Gstar: Graph,
     roles: Sequence[tuple[str, int]],
@@ -366,14 +379,8 @@ def obstruction_report(
             if sorted(seen) != canon:
                 return _not_an_instance(n, f"{part} part cross edges differ between copy levels")
 
-    def counts(H: Graph) -> tuple[int | None, int | None]:
-        try:
-            return len(em_spectrum(H, cap).achieved), len(sem_spectrum(H, cap).achieved)
-        except BudgetExceededError:
-            return None, None
-
-    base_em, base_sem = counts(G)
-    star_em, star_sem = counts(Gstar)
+    base_em, base_sem = _counts(G, cap)
+    star_em, star_sem = _counts(Gstar, cap)
     budget = "inconclusive: budget"
     rank = ("pass", budget, "obstruction")
 

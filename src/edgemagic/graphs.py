@@ -7,7 +7,10 @@ index in this package (vertices, edges, arcs) is 1-based.
 The text format is one construct per file: a line ``p <int>`` followed by one
 ``e <u> <v>`` line per edge (``a <u> <v>`` for digraph arcs).  Lines starting
 with ``#`` and blank lines are ignored, and any other unknown line is refused;
-``_records`` reads this grammar for labelings and the CLI's files too.
+``_records`` reads this grammar for labelings and the CLI's files too.  An
+integer field is a run of ASCII digits 0-9, after a ``-`` if negative; the
+other spellings ``int()`` takes (``+2``, ``1_0``, digits of other scripts)
+are refused.
 """
 from __future__ import annotations
 
@@ -232,16 +235,24 @@ def edges_match_under(src: Graph | Digraph, dst: Graph, vertex_map: Mapping[int,
 # counts would only size lists until memory runs out.
 _MAX_VERTICES = 10**6
 
+_NOT_AN_INTEGER = "fields must be integers: ASCII digits 0-9, after a '-' if negative"
+
 
 def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tuple[int, ...]]]:
     """The line grammar of every input file: yields (line number from 1,
     directive, integer fields) for each line that is not blank or a '#'
     comment.  The directive is one of heads, or "" when heads is empty;
     'p' takes one field, the vertex count, refused above _MAX_VERTICES
-    before anything is sized by it, and every other directive two.
+    before anything is sized by it, and every other directive two.  A
+    field is ASCII digits, after a '-' if negative.
     """
     allowed = frozenset(heads)
     width = 3 if heads else 2  # tokens on a line other than 'p'
+    # int() also reads '+', '_' between digits and non-ASCII digits, and
+    # without them exactly an optional '-' and ASCII digits; so the fields
+    # are checked line by line only when the text holds one of them (in a
+    # comment, perhaps).  str.isascii() reads a flag the string keeps
+    suspect = not text.isascii() or "+" in text or "_" in text
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -251,10 +262,14 @@ def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tupl
             raise ParseError(f"unknown directive {head!r} (expected {'/'.join(heads)})", ln)
         if len(parts) != (2 if head == "p" else width):
             raise ParseError(f"expected {1 if head == 'p' else 2} integer field(s)", ln)
+        if suspect:
+            spelled = parts[1] if head == "p" else parts[-2] + parts[-1]
+            if not spelled.isascii() or "+" in spelled or "_" in spelled:
+                raise ParseError(_NOT_AN_INTEGER, ln)
         try:
             values = (int(parts[1]),) if head == "p" else (int(parts[-2]), int(parts[-1]))
         except ValueError:
-            raise ParseError("fields must be integers", ln) from None
+            raise ParseError(_NOT_AN_INTEGER, ln) from None
         if head == "p" and not 0 <= values[0] <= _MAX_VERTICES:
             raise ParseError(f"vertex count must lie in 0..{_MAX_VERTICES}", ln)
         yield ln, head, values

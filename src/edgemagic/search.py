@@ -171,8 +171,16 @@ closing depth on the homes, from the pairs' masks, and the bound last,
 two dot products over the free labels; every cut is exact, so the order
 sets only what a node costs, not which nodes are visited.
 
-Every witness, mirrored ones included, is re-verified before it is
-reported.  The search is exact and deterministic but exponential, so
+Known witnesses.  The private _search may be handed labelings of its
+kind already in hand, keyed by valence: a lower valence k then takes the
+one for k, or the dual of the one for c-k, and is not searched.  The
+obstruction reports hand the edge magic search the super edge magic
+witnesses, since each is an edge magic labeling of the same valence; the
+public spectra and first labelings hand it nothing, so their witnesses
+stay the least ones.
+
+Every witness, mirrored and known ones included, is re-verified before
+it is reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
 forever, and so is a search deeper than the recursion limit allows on
 top of the frames its caller already uses.
@@ -472,14 +480,17 @@ def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:
 
 
 def _search(
-    G: Graph, kind: str, cap: int
+    G: Graph, kind: str, cap: int, known: Mapping[int, TotalLabeling] = {}
 ) -> tuple[IntervalReport, Iterator[tuple[int, TotalLabeling]]]:
     """Refuse graphs beyond the cap, then return the candidate interval and
     a lazy stream of (valence, witness) hits in increasing valence, each
     witness re-verified before it is yielded.
 
     Only the lower half of the interval is searched; the upper half is
-    streamed afterwards as the duals of the lower hits.
+    streamed afterwards as the duals of the lower hits.  known maps
+    valences to labelings of this kind already in hand: a lower valence k
+    takes known[k], or the dual of known[mirror - k], instead of a search,
+    so its witness need not be the least one.
     """
     if G.p + G.q > cap:
         raise BudgetExceededError(
@@ -502,7 +513,12 @@ def _search(
         for k in interval.values():
             if 2 * k > mirror:
                 break
-            w = find(k)
+            if k in known:
+                w = known[k]
+            elif mirror - k in known:
+                w = dual(G, known[mirror - k])
+            else:
+                w = find(k)
             if w is not None:
                 lower.append((k, w))
                 yield verified(k, w)

@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -855,9 +856,11 @@ def test_one_process_gives_the_same_results_call_after_call(tmp_path, monkeypatc
 # labels out of range, repeated or missing), beside bytes that are not
 # UTF-8.  Values stay small enough that a graph that parses is cheap to
 # bound and search.
+# int() reads these as 3, 10 and 2, but the file grammar refuses them
+MISSPELLED = ["+3", "0_3", "1_0", "\u0663", "\uff13", "\u09e9", "\U0001d7d0"]
 _FIELD = st.one_of(
     st.integers(-2, 9).map(str),
-    st.sampled_from(["1000001", str(10**18), "2.5", "x", "+3", "0x1", "\u0663", "-"]),
+    st.sampled_from(["1000001", str(10**18), "2.5", "x", "0x1", "-", *MISSPELLED]),
 )
 _LINE = st.one_of(
     st.builds(
@@ -870,14 +873,22 @@ _LINE = st.one_of(
 
 
 _SMALL = st.integers(-1, 7)
+# a field int() still reads as the same integer, spelled as the grammar refuses
+_RESPELL = st.sampled_from([
+    lambda t: "+" + t,
+    lambda t: "0_" + t,
+    lambda t: t.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                        "\u0665\u0666\u0667\u0668\u0669")),
+])
 
 
 @st.composite
 def _inputs(draw):
     """A graph file and a labeling file: lines for a graph of up to 7
     vertices and 6 edges and for a labeling of it, with values that may
-    fall out of range or repeat and lines that may be missing, and up to
-    two malformed lines put in anywhere; or bytes that are not text."""
+    fall out of range or repeat and lines that may be missing, one field
+    that may be respelled, and up to two malformed lines put in anywhere;
+    or bytes that are not text."""
     p = draw(_SMALL)
     vertex = st.one_of(st.integers(1, max(p, 1)), _SMALL)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
@@ -888,6 +899,12 @@ def _inputs(draw):
     files = []
     for lines in (graph, draw(st.permutations(labeling))):
         lines = list(lines)
+        if lines and draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(lines) - 1))
+            head, *fields = lines[at].split()
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(_RESPELL)(fields[j])
+            lines[at] = " ".join([head, *fields])
         if draw(st.booleans()):
             for at, line in draw(st.lists(st.tuples(st.integers(0, 20), _LINE), min_size=1, max_size=2)):
                 lines.insert(at % (len(lines) + 1), line)
@@ -896,20 +913,45 @@ def _inputs(draw):
     return files
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _refused_spelling(data: bytes) -> bool:
+    """True when data is not UTF-8 text, or when a line that is not blank
+    or a comment has a field other than ASCII digits after an optional '-'."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0][0] != "#" and not all(map(_INTEGER.fullmatch, parts[1:])):
+            return True
+    return False
+
+
 @settings(
-    derandomize=True, database=None, deadline=None, max_examples=150,
+    derandomize=True, database=None, deadline=None, max_examples=300,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(files=_inputs(), command=st.sampled_from(["verify", "interval", "spectrum"]))
+@given(
+    files=_inputs(),
+    command=st.sampled_from(["verify", "interval", "spectrum", "product", "s2n", "decompose"]),
+)
 def test_malformed_files_exit_with_a_contract_code(tmp_path, capsys, files, command):
     graph, labeling = files
-    g, lab = tmp_path / "g.txt", tmp_path / "lab.txt"
+    g, lab, d = tmp_path / "g.txt", tmp_path / "lab.txt", tmp_path / "d.txt"
     g.write_bytes(graph)
     lab.write_bytes(labeling)
-    argv = {
-        "verify": ["verify", str(g), str(lab)],
-        "interval": ["interval", "--kind", "em", str(g)],
-        "spectrum": ["spectrum", "--kind", "sem", "--cap", "10", str(g)],
+    # product reads a digraph and its labeling from one file, arcs on 'a' lines
+    d.write_bytes(re.sub(rb"(?m)^e ", b"a ", graph) + b"\n" + labeling)
+    argv, read = {
+        "verify": (["verify", str(g), str(lab)], (graph, labeling)),
+        "interval": (["interval", "--kind", "em", str(g)], (graph,)),
+        "spectrum": (["spectrum", "--kind", "sem", "--cap", "10", str(g)], (graph,)),
+        "product": (["product", "--mode", "spk", "--d", str(d), "--member", str(d)], (d.read_bytes(),)),
+        "s2n": (["s2n", "--graph", str(g), "--h1", "1", "--labeling", str(lab)], (graph, labeling)),
+        "decompose": (["decompose", "--graph", str(g), "--enumerate", "--cap", "6"], (graph,)),
     }[command]
     code = main(argv)
     err = capsys.readouterr().err
@@ -917,3 +959,45 @@ def test_malformed_files_exit_with_a_contract_code(tmp_path, capsys, files, comm
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    if any(map(_refused_spelling, read)):
+        assert code == 2, err
+
+
+@pytest.mark.parametrize("spelled", MISSPELLED)
+@pytest.mark.parametrize(
+    "name, text, line, argv",
+    [
+        ("p.g", "p {}\ne 1 2\n", 1, ["interval", "--kind", "em", "{}"]),
+        ("e.g", "p 3\ne 1 2\ne 2 {}\n", 3, ["interval", "--kind", "em", "{}"]),
+        ("v.l", ALPHA_TEXT.replace("v 4 3", "v 4 {}"), 4, ["verify", "{c4}", "{}"]),
+        ("a.d", CYC_D_TEXT.replace("a 2 3", "a 2 {}"), 3,
+         ["product", "--mode", "spk", "--d", "{}", "--member", "{star}"]),
+        ("assign.txt", "1 1\n2 1\n{} 1\n4 1\n", 3,
+         ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
+        ("s2n.g", "p 3\ne 1 2\ne 2 {}\n", 3, ["s2n", "--graph", "{}", "--h1", "1"]),
+        ("s2n.l", ALPHA_TEXT.replace("v 4 3", "v 4 {}"), 4,
+         ["s2n", "--graph", "{c4}", "--h1", "1", "--labeling", "{}"]),
+        ("dec.g", "p 3\ne 1 2\ne 2 {}\n", 3, ["decompose", "--graph", "{}", "--enumerate"]),
+    ],
+    ids=["graph-header", "graph-edge", "verify-labeling", "product-digraph", "product-assign",
+         "s2n-graph", "s2n-labeling", "decompose-graph"],
+)
+def test_respelled_integers_are_refused_naming_their_line(
+    files, capsys, spelled, name, text, line, argv
+):
+    bad = files(name, text.replace("{}", spelled))
+    given = {"cyc": files("cyc.d", CYC_D_TEXT), "star": files("star.d", STAR_D_TEXT),
+             "c4": files("c4.g", C4_TEXT)}
+    code = main([arg.format(bad, **given) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: line {line}: fields must be integers"), err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("h1", ["+1", "0_1", "\u0661", "1,\uff13"])
+def test_edge_index_lists_share_the_file_grammar(files, capsys, h1):
+    code = main(["s2n", "--graph", files("c4.g", C4_TEXT), "--h1", h1])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: edge indices must be integers: {h1!r}\n"

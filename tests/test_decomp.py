@@ -29,6 +29,7 @@ from edgemagic import (
     induced_s2n_labeling,
     is_super_edge_magic,
     mk_complete_bipartite,
+    mk_crown,
     mk_cycle,
     obstruction_report,
     orient_cycle,
@@ -43,6 +44,7 @@ from edgemagic import (
     verify_s2n_iso,
 )
 from edgemagic import decomp, products
+from naive import WIDE_CORPUS
 
 P3 = Graph(3, ((1, 2), (2, 3)))
 P4 = Graph(4, ((1, 2), (2, 3), (3, 4)))
@@ -528,3 +530,65 @@ def test_p4_split_sweep_at_two_copies_is_frozen():
             rep.star_sem_count,
         )
     assert got == FROZEN_P4_SWEEP
+
+
+# The report counts the edge magic valences with the super edge magic
+# witnesses, and their complements, taken as known, so it searches only
+# the valences they leave open; the public spectra search every valence.
+# Both must count the same valences, and refuse the same graphs.
+def _spectrum_counts(H: Graph, cap: int) -> tuple[int | None, int | None]:
+    try:
+        return len(em_spectrum(H, cap).achieved), len(sem_spectrum(H, cap).achieved)
+    except BudgetExceededError:
+        return None, None
+
+
+NAMED_AT_CAP_40 = {
+    "k34": mk_complete_bipartite(3, 4),
+    "k26": mk_complete_bipartite(2, 6),
+    "k25pendant": Graph(8, mk_complete_bipartite(2, 5).edges + ((3, 8),)),
+    "crown33": mk_crown(3, 3),
+    "crown41": mk_crown(4, 1),
+    "crown51": mk_crown(5, 1),
+    "c7": mk_cycle(7),
+    "c8": mk_cycle(8),
+    "c12": mk_cycle(12),
+    "spider222": Graph(7, ((1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7))),
+    "doubled_p3": Graph(9, ((1, 2), (2, 3), (1, 6), (2, 5), (1, 9), (2, 8))),
+}
+
+
+def test_report_counts_match_the_spectra_on_named_graphs():
+    graphs = [(name, G, 16) for name, G in WIDE_CORPUS.items()]
+    graphs += [(name, G, 40) for name, G in NAMED_AT_CAP_40.items()]
+    for name, G, cap in graphs:
+        assert decomp._counts(G, cap) == _spectrum_counts(G, cap), name
+    # beyond the cap both counts are refused, as the spectra are
+    assert decomp._counts(mk_cycle(12), 16) == (None, None) == _spectrum_counts(mk_cycle(12), 16)
+
+
+def test_report_counts_match_the_spectra_on_doublings_and_perturbations():
+    expected: dict[tuple[Graph, int], tuple[int | None, int | None]] = {}
+
+    def check(H: Graph, cap: int, got: tuple[int | None, int | None]) -> None:
+        if (H, cap) not in expected:
+            expected[H, cap] = _spectrum_counts(H, cap)
+        assert got == expected[H, cap], (H, cap)
+
+    instances = searched = 0
+    for G in (P3, P4, mk_cycle(4), mk_complete_bipartite(1, 3)):
+        bip = bipartition(G)
+        for n in (1, 2):
+            for d in enumerate_2_decompositions(G):
+                s = build_s2n(G, bip, d, n)
+                for edges, cap in ((s.graph.edges, 40), *_candidates(s)):
+                    H = Graph(s.graph.p, edges)
+                    rep = obstruction_report(H, s.roles, G, n, cap)
+                    if rep.instance:
+                        check(G, cap, (rep.base_em_count, rep.base_sem_count))
+                        check(H, cap, (rep.star_em_count, rep.star_sem_count))
+                        instances += 1
+                        searched += rep.star_em_count is not None
+    # every doubling at cap 40 is counted, not refused
+    assert all(c != (None, None) for (H, cap), c in expected.items() if cap == 40)
+    assert (instances, searched) == (428, 290)

@@ -217,3 +217,16 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_digraph("p 3\n\n# comment\na 1 2\nv 1 1\n")
     assert err.value.line == 5
+
+
+def test_fields_are_ascii_digits_after_an_optional_minus():
+    # '+', '_' and other scripts' digits in a comment leave the fields alone
+    G = parse_graph("# K2 +1 edge, 1_0 or ٣ vertices\np 007\ne 1 2\n")
+    assert (G.p, G.edges) == (7, ((1, 2),))
+    with pytest.raises(ParseError, match="endpoint out of range"):
+        parse_graph("p 3\ne -1 2\n")
+    # each is an integer to int(), and each line here is refused for it
+    for text in ("p +3\n", "p 3\ne 1 0_2\n", "# +\np 3\ne ١ 2\n", "p 3\ne 1 ２\n"):
+        with pytest.raises(ParseError, match="fields must be integers") as err:
+            parse_graph(text)
+        assert err.value.line == text.count("\n")

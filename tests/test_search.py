@@ -31,6 +31,7 @@ from edgemagic import (
     sem_spectrum,
     valence_of,
 )
+from edgemagic.search import _search
 from naive import CORPUS, WIDE_CORPUS, naive_least_witness, naive_valences, twin_classes
 
 # Frozen from a one-off brute-force enumeration over all labelings.
@@ -157,6 +158,19 @@ def test_cap_refusal_is_loud():
         first_em_labeling(crown)
     with pytest.raises(BudgetExceededError):
         sem_spectrum(crown, cap=23)
+
+
+def test_known_witnesses_are_rechecked_like_found_ones():
+    # C4's edge magic window is 12..15 and its mirror 27: the lower half
+    # 12, 13 takes known[k], or the complement of known[27 - k]
+    G = mk_cycle(4)
+    found = em_spectrum(G).witnesses
+    assert dict(_search(G, "em", 16, {15: found[15]})[1]) == {
+        **found, 12: complement(G, found[15]), 15: found[15]
+    }
+    for known in ({12: found[13]}, {15: found[14]}):
+        with pytest.raises(RuntimeError, match="search produced a bad witness for valence 12"):
+            list(_search(G, "em", 16, known)[1])
 
 
 def test_first_labeling_returns_smallest_valence():
