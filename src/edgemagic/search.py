@@ -43,7 +43,11 @@ weight counts 0, so trailing zero weights are left out; only an edge
 magic graph with isolated vertices, weight -1 each, lists a weight for
 every free label: its unplaced degrees less 1, a 0 per unforced edge and
 a -1 per isolated vertex.  Both extremes are read lazily from the two ends of the free
-labels, with no list built per node.
+labels, with no list built per node, and only where two or more weights
+are left.  With none left the bound says the remainder is 0; with one,
+the last weighted vertex below tries only the label the remainder
+names, which is a free label only where the bound holds, so either way
+a node is cut exactly where the two dot products would cut it.
 
 The congruence.  The gcd g_i of the weights of U must divide the
 remainder.  The moduli are computed once per graph for every depth,
@@ -62,7 +66,8 @@ odd-regular graphs with p = 4 (mod 8) of Craft and Tesar (Discrete Math.
 The last weighted vertex.  When no vertex after v has a nonzero weight,
 the remainder left after v must be 0, so v takes the one label
 remainder / (deg(v) - base), if that is an integer inside v's range, and
-the search tries it alone instead of looping over the free labels.  An
+the search tries it alone, if it is free, instead of looping over the
+free labels.  An
 isolated vertex weighs -1 for edge magic labelings, so there this holds
 only for graphs without one.
 
@@ -128,10 +133,17 @@ The vertices c, their r and, for each other b at the same depth, b's
 unshared count are planned once per graph for every depth: c is listed
 from the depth after its own through that of its last neighbour, with
 one integer bitmask of later neighbours per vertex, shifted one place
-per depth.  At a node the free labels are read as two integers, one of
-them byte-reversed, each vertex checked costs one shift, one and, and
-one bit count, and the recount after a tight c removes its pairs with
-two more ands.
+per depth.  The free labels travel down the search as two integers with
+one bit per label: fwd holds bit x for each free label x a neighbour
+may take, and back bit k - y for each free label y up to k that its
+edge may take (none above k: with isolated vertices a valence can be
+p+q or less).  A child's pair is its parent's with the bits of the
+vertex label placed and of the edge labels it forces cleared.  Label a
+is in c's pair mask m = fwd & (back >> f(c)) when a and k - f(c) - a
+are both free, so each vertex checked costs one shift, one and, and one
+bit count, and the recount after a tight c removes its pairs with two
+more ands.  The label (k - f(c))/2, when that is an integer, pairs with
+itself and is taken by no open edge of c, so the recount keeps it free.
 
 Homes.  Pairs asks whether the free labels can serve every open edge;
 this cut asks the dual question, whether every free label can still be
@@ -147,8 +159,8 @@ k - f(c) - y, free now; or to an isolated vertex.  In the first two
 roles a and y = k - f(c) - a are both free, so a is in c's pair mask
 m, the set Pairs counts (in the second role a is an edge label and y a
 vertex label, which m does not tell apart for edge magic labelings).
-Reading the labels as back does, y at bit 8(k - y), that is bit
-8(f(c) + a) of m shifted up by 8f(c); so the union of those shifted
+Reading the labels as back does, y at bit k - y, that is bit
+f(c) + a of m shifted up by f(c); so the union of those shifted
 masks over the vertices c that Pairs lists must hold every bit of back,
 every free label up to k, and a node where it misses one has no
 completion and is cut, so no witness changes.  Two gates keep the
@@ -168,8 +180,9 @@ vertex checked.
 At each node the congruence is checked first, one modulo, then the
 pairs, a few integer operations per vertex checked, then from the
 closing depth on the homes, from the pairs' masks, and the bound last,
-two dot products over the free labels; every cut is exact, so the order
-sets only what a node costs, not which nodes are visited.
+two dot products over the free labels where two or more weights are
+left; every cut is exact, so the order sets only what a node costs, not
+which nodes are visited.
 
 Known witnesses.  The private _search may be handed labelings of its
 kind already in hand, keyed by valence: a lower valence k then takes the
@@ -234,37 +247,46 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     The plan holds the vertex order (degree descending, index ascending),
     for each position the other ends of the edges forced there, the
     previous twin and the vertex's weight deg(v) - base, for each depth
-    the bound's weights, largest first, and the congruence modulus, 0
+    the bound's weights, largest first (a slice of the vertex weights
+    unless isolated vertices weigh -1), and the congruence modulus, 0
     where it needs no check, the positions of the first vertex and of its
     twins, which the middle cut bounds at the valence mirror / 2, and for
     each depth the placed vertices whose open edges the pair count checks,
     each with what the others still need when its own pairs are all
     spoken for, and the closing depth, the first at which every edge has
     a placed end, from which on the homes of the free labels are checked
-    (never, for edge magic labelings of a graph with an isolated vertex).
-    Once every vertex of nonzero degree is placed, every edge is forced
-    and there is nothing left to bound or to search: the isolated
-    vertices, last in the order, take the free labels least first, which
-    is what the search would give them, so they add no recursion depth.
-    One call per vertex of nonzero degree checks the congruence, the
-    pairs, the homes and the bound on the remainder passed down and the
-    free labels, then places the vertex: on its one possible label when
-    it is the last vertex with a weight (its depth's weights are that
-    weight alone), else on each free label in its range in turn; the
-    witness's edge labels are derived once, at the end, as
-    k - f(u) - f(v).
+    (never, for edge magic labelings of a graph with an isolated vertex),
+    and each label's bit in fwd; find adds each label's bit in back,
+    which depends on the valence.  Once every vertex of nonzero degree is
+    placed, every edge is forced and there is nothing left to bound or to
+    search: the isolated vertices, last in the order, take the free
+    labels least first, which is what the search would give them, so they
+    add no recursion depth.
+    One call per vertex of nonzero degree takes the remainder and the
+    free labels as the bitmasks fwd and back from its parent, checks the
+    congruence, the pairs, the homes and, where two or more weights are
+    left, the bound (where none is, the remainder must be 0), then places
+    the vertex: on its one possible label when it is the last vertex with
+    a weight (its depth's weights are that weight alone), else on each
+    free label in its range in turn, handing each child the masks with
+    the labels it placed and forced cleared; the witness's edge labels
+    are derived once, at the end, as k - f(u) - f(v).
     """
     p, q = G.p, G.q
     total = p + q
     sem = kind == "sem"
     deg = G.degrees()
-    order = sorted(range(1, p + 1), key=lambda v: (-deg[v - 1], v))
+    # the sort is stable, so vertices of equal degree keep index order
+    order = sorted(range(1, p + 1), key=lambda v: -deg[v - 1])
     degs = [deg[v - 1] for v in order]
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * (p + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
     finishers: list[list[int]] = [[] for _ in order]
     for u, v in G.edges:
-        later, other = (u, v) if pos[u] >= pos[v] else (v, u)
-        finishers[pos[later]].append(other)
+        if pos[u] < pos[v]:
+            u, v = v, u
+        finishers[pos[u]].append(v)
     vmax = p if sem else total
     flip = vmax + 1
     emin = p + 1 if sem else 1
@@ -293,18 +315,17 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     steps = [d - base for d in degs]
     # weights[i]: deg(v) - base over the vertices v unplaced at depth i,
     # largest first; an edge magic graph with isolated vertices also
-    # weighs each unforced edge 0 and each isolated vertex -1, elsewhere
-    # the trailing zeros are left out
-    unforced = q
-    weights: list[list[int]] = []
-    for i in range(live):
-        w = steps[i:live]
-        if live < p and not sem:
-            w += [0] * unforced + [-1] * (p - live)
-        while w and not w[-1]:
-            w.pop()
-        weights.append(w)
-        unforced -= len(finishers[i])
+    # weighs each unforced edge 0 and each isolated vertex -1; elsewhere
+    # the weights are at least 0 and descending, and the trailing zeros are
+    # left out, so each depth's weights are a slice of steps
+    if sem or live == p:
+        nonzero = p - steps.count(0)
+        weights = [steps[i:nonzero] for i in range(live)]
+    else:
+        unforced, weights = q, []
+        for i in range(live):
+            weights.append(steps[i:live] + [0] * unforced + [-1] * (p - live))
+            unforced -= len(finishers[i])
     # gcds[i]: the gcd of deg(v) - base over the vertices v unplaced at
     # depth i, isolated ones included; moduli[i] keeps it where it exceeds
     # 1 and differs from gcds[i - 1], and is 0 elsewhere
@@ -314,8 +335,8 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     moduli = [g if g > 1 and g != prev else 0 for prev, g in zip([1] + gcds, gcds[:live])]
     # ahead[j]: bit i is set when order[i], i > j, is a neighbour of order[j]
     ahead = [0] * live
-    for i, w in enumerate(order[:live]):
-        for c in set(nbrs[w]):
+    for i, ends in enumerate(finishers):
+        for c in ends:
             if pos[c] < i:
                 ahead[pos[c]] |= 1 << i
     # pairs[i]: (c, need, others) for each vertex c placed before depth i
@@ -326,20 +347,21 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     # those vertices at depth i, each with the bitmask of its neighbours
     # unplaced there, bit 0 for order[i]
     per = 1 if sem else 2
-    pairs: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = []
+    pairs: list[list[tuple[int, int, list[tuple[int, int]]]]] = []
     row: list[tuple[int, int]] = []
     for i in range(live):
         row = [(c, later >> 1) for c, later in row if later > 1]
         if i and ahead[i - 1]:
             row.append((order[i - 1], ahead[i - 1] >> i))
-        pairs.append([])
+        here = []
         for c, mine in row:
             others = []
             for b, theirs in row:
-                rest = (theirs & ~mine).bit_count()
+                rest = theirs & ~mine
                 if rest:
-                    others.append((b, per * rest))
-            pairs[i].append((c, per * mine.bit_count(), tuple(others)))
+                    others.append((b, per * rest.bit_count()))
+            here.append((c, per * mine.bit_count(), others))
+        pairs.append(here)
     # close: the first depth at which every edge has a placed end, that is
     # from which no two unplaced vertices are adjacent and none has a loop;
     # the homes are checked from there on.  For edge magic labelings an
@@ -349,11 +371,12 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     if sem or live == p:
         while close and not ahead[close - 1] and order[close - 1] not in nbrs[order[close - 1]]:
             close -= 1
-    # free[:vcut] holds the labels a neighbour may take, free[ecut:] those
-    # its edge may take
-    vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 0)
-    width = 8 * total
-    from_bytes = int.from_bytes
+    # fwd holds bit x for each free label x below vcut, the labels a
+    # neighbour may take; back holds bit k - y for each free label y from
+    # ecut up to k, the labels its edge may take
+    vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 1)
+    # fbit[x]: the bit of label x in fwd, 0 for no label and from vcut on
+    fbit = [1 << x if 0 < x < vcut else 0 for x in range(total + 1)]
     labels = range(vmax + 1)  # SEM: compress(labels, free) stops at p
     downs = range(vmax, -1, -1)
     # the root remainder is q*k - fixed: T = 1 + ... + (p+q) for edge magic
@@ -364,15 +387,17 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     def find(k: int) -> TotalLabeling | None:
         # free[x] is 1 while label x is unused; 0 is no label
         free = bytearray([0]) + bytearray([1]) * total
-        vfree, efree = memoryview(free)[:vcut], memoryview(free)[ecut:]
-        lift = 8 * k
+        vfree = memoryview(free)[:vcut]
+        # bbit[y]: the bit of label y in back, none above k, since with
+        # isolated vertices a valence can be p+q or less
+        bbit = [1 << k - y if ecut <= y <= k else 0 for y in range(total + 1)]
         # vlab[0] = 0 marks no twin; only vertices placed earlier are read
         vlab = [0] * (p + 1)
         middle = 2 * k == mirror
 
-        def place(i: int, rest: int) -> bool:
+        def place(i: int, rest: int, fwd: int, back: int) -> bool:
             # rest: the sum of (deg(v) - base) * f(v) that the unplaced
-            # vertices v must make up
+            # vertices v must make up; fwd, back: the free labels
             if i == live:
                 for v, lab in zip(order[live:], compress(labels, free)):
                     vlab[v] = lab
@@ -380,42 +405,45 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
             if moduli[i] and rest % moduli[i]:
                 return False
             if pairs[i]:
-                # label x is bit 8x of fwd, and its partner k - f(c) - x
-                # is bit 8x of back >> 8f(c)
-                fwd = from_bytes(vfree, "little")
-                back = from_bytes(efree, "big") << lift >> width
                 homes = i >= close
                 home = 0
                 for c, need, others in pairs[i]:
+                    # label x is bit x of fwd, and its partner k - f - x
+                    # is bit x of back >> f
                     f = vlab[c]
-                    m = fwd & (back >> 8 * f)
+                    m = fwd & (back >> f)
                     n = m.bit_count()
                     if n < need:
                         return False
                     if homes:
                         # label k - f - a of each pair {a, k - f - a} in m,
-                        # at bit 8(f + a) as back holds it
-                        home |= m << 8 * f
+                        # at bit f + a as back holds it
+                        home |= m << f
                     if n < need + per and others:
                         # c's open edges take every pair m holds; the
                         # others must find theirs among the labels left.
-                        # Bit 4(k - f) is label (k - f)/2 when that is an
-                        # integer: it pairs with itself, so it stays free
-                        m &= ~(1 << 4 * (k - f))
-                        rfwd, rback = fwd & ~m, back & ~(m << 8 * f)
+                        # Label (k - f)/2, when that is an integer, pairs
+                        # with itself, so it stays free
+                        if (k - f) % 2 == 0:
+                            m &= ~(1 << (k - f) // 2)
+                        rfwd, rback = fwd & ~m, back & ~(m << f)
                         for b, nb in others:
-                            if (rfwd & (rback >> 8 * vlab[b])).bit_count() < nb:
+                            if (rfwd & (rback >> vlab[b])).bit_count() < nb:
                                 return False
                 if homes and home != back:
                     # a free label up to k that no open edge or unplaced
                     # vertex can take
                     return False
             w = weights[i]
-            if not (
-                sum(map(mul, w, compress(labels, free)))
-                <= rest
-                <= sum(map(mul, w, compress(downs, reversed(vfree))))
-            ):
+            if len(w) > 1:
+                if not (
+                    sum(map(mul, w, compress(labels, free)))
+                    <= rest
+                    <= sum(map(mul, w, compress(downs, reversed(vfree))))
+                ):
+                    return False
+            elif not w and rest:
+                # no unplaced vertex weighs anything
                 return False
             v, step = order[i], steps[i]
             lo, top = vlab[twin[i]] + 1, vmax
@@ -423,7 +451,8 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                 top = flip - vlab[order[0]] if i else flip // 2
             if len(w) == 1:
                 # no later vertex weighs anything, so the remainder left
-                # after v must be 0
+                # after v must be 0: v's one label is a free label, which
+                # the bound would have let through, or there is none
                 lab, off = divmod(rest, step)
                 tries = range(lab, lab + 1) if not off and lo <= lab <= top else ()
             else:
@@ -441,7 +470,13 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                     free[e] = 0
                     forced.append(e)
                 else:
-                    if place(i + 1, rest - step * lab):
+                    # each label placed or forced was free, so its bits,
+                    # where it has any, are set: xor clears them
+                    cfwd, cback = fwd ^ fbit[lab], back ^ bbit[lab]
+                    for e in forced:
+                        cfwd ^= fbit[e]
+                        cback ^= bbit[e]
+                    if place(i + 1, rest - step * lab, cfwd, cback):
                         return True
                 for e in forced:
                     free[e] = 1
@@ -449,7 +484,7 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
             return False
 
         try:
-            if not place(0, q * k - fixed):
+            if not place(0, q * k - fixed, sum(fbit), sum(bbit)):
                 return None
         except RecursionError:
             raise BudgetExceededError(
