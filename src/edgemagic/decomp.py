@@ -10,10 +10,11 @@ endpoint.
 
 Orient first-part edges from X to Y and second-part edges the other way,
 and the doubling becomes the tensor style composition of that orientation
-with a star with loop on n leaves.  The composition rules in the products
-module then turn each edge magic labeling of the base graph into a family
-of edge magic labelings of the doubling, one per star center, without any
-search.
+with a star with loop on n leaves.  Each edge magic labeling f of the
+base graph, of valence v, and each star center label r in 1..n+1 then
+give an edge magic labeling of the doubling, of valence (n+1)(v-2)+r+1,
+without any search: the composition's labeling carried along
+s2n_iso_map, which induced_s2n_labeling writes in closed form.
 
 The implication runs backwards too: a graph presented as a split doubling
 must reach at least as many valences as the composition guarantees, so a
@@ -36,15 +37,7 @@ from .graphs import (
     edges_match_under,
 )
 from .labelings import TotalLabeling, valence_of
-from .products import (
-    _fiber_map,
-    _realize,
-    _route,
-    _sem_induced,
-    sem_factor_key,
-    star_loop_labeling,
-    tensor_product,
-)
+from .products import _fiber_map, tensor_product
 from .search import DEFAULT_CAP, _search
 
 __all__ = [
@@ -221,6 +214,20 @@ def _is_star_composition(s: S2nGraph) -> bool:
     return edges_match_under(prod, s.graph, s2n_iso_map(s, 1))
 
 
+def _s2n_labels(s: S2nGraph, f: TotalLabeling, r: int) -> TotalLabeling:
+    """induced_s2n_labeling's labels, unchecked; g[k] is the star's label
+    at fiber position k+1."""
+    c = s.n + 1
+    g = (r, *(k if k < r else k + 1 for k in range(1, c)))
+    blocks = [c * (x - 1) for x in f.vertex_labels]
+    # every copy block lists the originals in offset order
+    copies = [blocks[a] for a in sorted(range(s.base.p), key=s.offsets.__getitem__)]
+    vertex_labels = [b + r for b in blocks]
+    for y in g[1:]:
+        vertex_labels += [b + y for b in copies]
+    return TotalLabeling(vertex_labels, [c * x + 1 - y for y in g for x in f.edge_labels])
+
+
 def induced_s2n_labeling(
     G: Graph,
     bip: Bipartition,
@@ -231,29 +238,32 @@ def induced_s2n_labeling(
 ) -> tuple[S2nGraph, TotalLabeling, int]:
     """Edge magic labeling of the doubling induced by one of the base graph.
 
-    f must be an edge magic labeling of G; r in 1..n+1 picks the center
-    label of the star member and hence the valence (n+1)*(v-2) + r + 1,
-    where v is the valence of f.  When f is super edge magic so is the
-    induced labeling.  Returns the doubling, the labeling, its valence.
+    f must be an edge magic labeling of G of valence v, and r in 1..n+1
+    the star's center label; the star's leaf k is labeled g_k = k below r
+    and k+1 from r on.  Original a gets (n+1)*(f(a)-1) + r, its copy k
+    (n+1)*(f(a)-1) + g_k, base edge t (n+1)*f(t) + 1 - r and the level k
+    cross edge of arc t (n+1)*f(t) + 1 - g_k: the star composition's
+    labeling carried along s2n_iso_map(s, 1), of valence
+    (n+1)*(v-2) + r + 1.  The doubling is proved to be that composition
+    and the labeling is checked on it; when f is super edge magic so is
+    the labeling.  Returns the doubling, the labeling, its valence.
     """
     v = valence_of(G, f)
     if v is None:
         raise ValueError("base labeling is not edge magic")
     s = build_s2n(G, bip, d, n)
-    # every star_loop_labeling(n, r) has its center at vertex 1, so the
-    # orientation composes with it as built and the product's fiber
-    # position 1 carries the originals, whatever r
-    star = star_loop_labeling(n, r)
-    product = tensor_product(s.orientation, (star.digraph,) * G.q)
-    members = ((star, tuple(range(1, n + 2))),) * G.q
-    ind = _sem_induced(product, f, v, sem_factor_key(star), members)
-    # _realize has verified the valence on the doubling; a super edge magic
-    # base leaves only the vertex label range to check
-    lab = _realize(ind, s.graph, _route(product, s.graph, s2n_iso_map(s, 1)))
+    if not 1 <= r <= n + 1:
+        raise ValueError(f"center label must lie in 1..{n + 1}")
+    if not _is_star_composition(s):
+        raise RuntimeError("the doubling does not match the star composition")
+    lab = _s2n_labels(s, f, r)
     if sorted(f.vertex_labels) == list(range(1, G.p + 1)):
         if sorted(lab.vertex_labels) != list(range(1, s.graph.p + 1)):
-            raise RuntimeError("transported labeling lost the vertex label range")
-    return s, lab, ind.valence
+            raise RuntimeError("the doubling's labeling lost the vertex label range")
+    valence = (n + 1) * (v - 2) + r + 1
+    if valence_of(s.graph, lab) != valence:
+        raise RuntimeError("the doubling's labeling lost its valence")
+    return s, lab, valence
 
 
 @dataclass(frozen=True)

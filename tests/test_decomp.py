@@ -35,6 +35,7 @@ from edgemagic import (
     orient_cycle,
     orient_for_decomposition,
     s2n_iso_map,
+    sem_factor_key,
     sem_spectrum,
     star_loop_labeling,
     tensor_product,
@@ -252,10 +253,23 @@ def test_induced_labeling_names_its_refusals(monkeypatch):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
     with pytest.raises(InvalidLabelingError):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4,)), 1)
+    # the base is checked first, then the copy count, then the center label
+    _, f = first_em_labeling(P3)
+    for n, r, err in (
+        (0, 1, "need at least one copy"),
+        (0, 0, "need at least one copy"),
+        (1, 0, r"center label must lie in 1\.\.2"),
+        (1, 3, r"center label must lie in 1\.\.2"),
+        (2, 4, r"center label must lie in 1\.\.3"),
+    ):
+        with pytest.raises(ValueError, match=err):
+            induced_s2n_labeling(P3, bip, d, n, f, r)
+    with pytest.raises(ValueError, match="base labeling is not edge magic"):
+        induced_s2n_labeling(P3, bip, d, 0, TotalLabeling((1, 2, 3), (4, 5)), 0)
     # a super edge magic base must give vertex labels 1..p on the doubling
     f = extend_vertex_labeling(P3, (1, 3, 2))
-    realize = decomp._realize
-    monkeypatch.setattr(decomp, "_realize", lambda ind, G, iso: complement(G, realize(ind, G, iso)))
+    labels = decomp._s2n_labels
+    monkeypatch.setattr(decomp, "_s2n_labels", lambda s, f, r: complement(s.graph, labels(s, f, r)))
     with pytest.raises(RuntimeError, match="lost the vertex label range"):
         induced_s2n_labeling(P3, bip, d, 1, f, 1)
 
@@ -322,6 +336,56 @@ def test_induced_labeling_matches_the_public_function_oracle():
     # (splits, witnesses): P4 (6, 4), K1,3 (6, 5), C4 (14, 4), K2,3 (62, 7),
     # each at 2 + 3 centers
     assert cases == 5 * (6 * 4 + 6 * 5 + 14 * 4 + 62 * 7)
+
+
+def _star_composition_labeling(s, f, r):
+    """The paper's route to the doubling's labeling: the split's
+    orientation composed with the star with loop of center label r, the
+    product labeled by the super edge magic member rule and carried onto
+    the doubling along fiber position 1."""
+    star = star_loop_labeling(s.n, r)
+    product = tensor_product(s.orientation, (star.digraph,) * s.base.q)
+    members = ((star, tuple(range(1, s.n + 2))),) * s.base.q
+    ind = products._sem_induced(product, f, valence_of(s.base, f), sem_factor_key(star), members)
+    return transport(product, ind.labeling, s2n_iso_map(s, 1), s.graph), ind.valence
+
+
+def test_closed_form_labeling_is_the_star_composition_labeling(monkeypatch):
+    # every split, every edge magic and super edge magic witness and every
+    # center of five small bases at one to three copies
+    cases = 0
+    for G in (P3, P4, mk_complete_bipartite(1, 3), mk_cycle(4), mk_complete_bipartite(2, 3)):
+        bip = bipartition(G)
+        fs = list(em_spectrum(G, cap=40).witnesses.values())
+        fs += sem_spectrum(G, cap=40).witnesses.values()
+        for n in (1, 2, 3):
+            for d in enumerate_2_decompositions(G):
+                for f in fs:
+                    for r in range(1, n + 2):
+                        s, lab, val = induced_s2n_labeling(G, bip, d, n, f, r)
+                        assert (lab, val) == _star_composition_labeling(s, f, r)
+                        if is_super_edge_magic(G, f) is not None:
+                            assert sorted(lab.vertex_labels) == list(range(1, s.graph.p + 1))
+                        cases += 1
+    # (splits, witnesses): P3 (2, 5), P4 (6, 4), K1,3 (6, 5), C4 (14, 4),
+    # K2,3 (62, 7), each at 2 + 3 + 4 centers
+    assert cases == 9 * (2 * 5 + 6 * 4 + 6 * 5 + 14 * 4 + 62 * 7)
+
+    # an original labeled as its first copy is refused, not returned
+    labels = decomp._s2n_labels
+
+    def one_level_off(s, f, r):
+        vl = list((lab := labels(s, f, r)).vertex_labels)
+        c = s.copy_index(1, 1)
+        vl[0], vl[c - 1] = vl[c - 1], vl[0]
+        return TotalLabeling(vl, lab.edge_labels)
+
+    monkeypatch.setattr(decomp, "_s2n_labels", one_level_off)
+    bip = bipartition(P4)
+    for f in (first_em_labeling(P4)[1], extend_vertex_labeling(P4, (1, 3, 2, 4))):
+        for d in enumerate_2_decompositions(P4):
+            with pytest.raises(RuntimeError, match="lost its valence"):
+                induced_s2n_labeling(P4, bip, d, 2, f, 2)
 
 
 def test_doubling_of_a_magic_graph_is_magic():
