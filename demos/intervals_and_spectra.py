@@ -18,10 +18,10 @@ print("integer window:", window.lo, "..", window.hi)
 
 # search confirms every value in the window is achieved: the 4-cycle is
 # perfect for edge magic labelings
-from edgemagic import em_spectrum, sem_spectrum, is_perfect_em
+from edgemagic import em_spectrum, sem_spectrum
 
 report = em_spectrum(cycle)
-print("achieved:", list(report.achieved), "perfect:", is_perfect_em(cycle))
+print("achieved:", list(report.achieved), "perfect:", report.perfect)
 
 # the super window of the same graph is empty, so no super edge magic
 # labeling exists; its raw bounds squeeze to a single non-integer point

@@ -31,7 +31,6 @@ __all__ = [
     "mk_complete_bipartite",
     "bipartition",
     "check_bipartition",
-    "underlying",
     "edges_match_under",
     "parse_graph",
     "parse_digraph",
@@ -72,12 +71,6 @@ class Graph:
     @property
     def q(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        """Edge ends at v; a loop at v contributes 2."""
-        if not 1 <= v <= self.p:
-            raise ValueError(f"vertex {v} out of range")
-        return sum((u == v) + (w == v) for u, w in self.edges)
 
     def degrees(self) -> tuple[int, ...]:
         d = [0] * (self.p + 1)
@@ -205,11 +198,6 @@ def check_bipartition(G: Graph, b: Bipartition) -> bool:
         if (u in b.X) == (v in b.X):
             return False
     return True
-
-
-def underlying(D: Digraph) -> Graph:
-    """Forget arc directions; edge i is the unordered version of arc i."""
-    return Graph(D.p, D.arcs)
 
 
 def _pairs(G: Graph | Digraph) -> tuple[tuple[int, int], ...]:

@@ -52,16 +52,6 @@ class TotalLabeling:
     def q(self) -> int:
         return len(self.edge_labels)
 
-    def label_of_vertex(self, v: int) -> int:
-        if not 1 <= v <= self.p:
-            raise ValueError(f"vertex {v} out of range")
-        return self.vertex_labels[v - 1]
-
-    def label_of_edge(self, i: int) -> int:
-        if not 1 <= i <= self.q:
-            raise ValueError(f"edge {i} out of range")
-        return self.edge_labels[i - 1]
-
 
 def check_total_labeling(G: Graph | Digraph, f: TotalLabeling) -> None:
     """Raise InvalidLabelingError unless f is a bijection onto 1..p+q for G;

@@ -219,8 +219,6 @@ __all__ = [
     "sem_spectrum",
     "first_em_labeling",
     "first_sem_labeling",
-    "is_perfect_em",
-    "is_perfect_sem",
 ]
 
 DEFAULT_CAP = 16
@@ -611,20 +609,3 @@ def first_em_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabel
 def first_sem_labeling(G: Graph, cap: int = DEFAULT_CAP) -> tuple[int, TotalLabeling] | None:
     """The super edge magic labeling of G with the smallest valence, or None."""
     return next(_search(G, "sem", cap)[1], None)
-
-
-def is_perfect_em(G: Graph, cap: int = DEFAULT_CAP) -> bool:
-    """True when every integer in the edge magic candidate interval is achieved.
-
-    Vacuously true when the interval is empty.
-    """
-    return em_spectrum(G, cap).perfect
-
-
-def is_perfect_sem(G: Graph, cap: int = DEFAULT_CAP) -> bool:
-    """True when every integer in the super edge magic candidate interval is achieved.
-
-    Vacuously true when the interval is empty (such graphs admit no super
-    edge magic labeling at all).
-    """
-    return sem_spectrum(G, cap).perfect

@@ -34,7 +34,6 @@ from edgemagic import (
     star_loop_labeling,
     star_product_valences,
     trivial_valence_bounds,
-    underlying,
     valence_count_floor,
     valence_of,
     verify_s2n_iso,
@@ -111,9 +110,7 @@ def test_criterion_05_product_valence_formulas():
                 )
                 pm, k = n + 1, r + 1
                 expected = pm * (v - 3) + k + pm
-                good = ind.valence == expected == valence_of(
-                    underlying(ind.product), ind.labeling
-                )
+                good = ind.valence == expected == valence_of(ind.product, ind.labeling)
                 ok = ok and good
                 checked += 1
     for L in CYCLE4_EM_LABELINGS:
@@ -125,11 +122,9 @@ def test_criterion_05_product_valence_formulas():
                 ind = induced_labeling_from_em_factors(
                     star, ArcAssignment.constant(member, n + 1)
                 )
-                kmin = min(induced_sums(underlying(star.digraph), star.labeling.vertex_labels))
+                kmin = min(induced_sums(star.digraph, star.labeling.vertex_labels))
                 expected = (4 + 4) * (kmin + (n + 1) - 3) + v
-                good = ind.valence == expected == valence_of(
-                    underlying(ind.product), ind.labeling
-                )
+                good = ind.valence == expected == valence_of(ind.product, ind.labeling)
                 ok = ok and good
                 checked += 1
     ok = ok and checked >= 50

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,6 @@ from edgemagic import (
     mk_cycle,
     parse_digraph,
     parse_graph,
-    underlying,
     valence_of,
 )
 from edgemagic.cli import main
@@ -259,7 +259,7 @@ def test_product_spk_mode(files, capsys):
     assert res["predicted_valence"] == res["verified_valence"] == 22
     assert res["super"] is False
     assert cert["verified"] is True
-    prod = underlying(parse_digraph(res["digraph"]))
+    prod = parse_digraph(res["digraph"])
     lab = TotalLabeling(
         tuple(res["labeling"]["vertex_labels"]), tuple(res["labeling"]["edge_labels"])
     )
@@ -447,22 +447,32 @@ def test_s2n_builds_the_doubling_once(files, capsys, monkeypatch):
     import edgemagic.cli
     import edgemagic.decomp
 
-    calls = []
-    build = edgemagic.decomp.build_s2n
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(name):
+        inner = getattr(edgemagic.decomp, name)
 
-    monkeypatch.setattr(edgemagic.decomp, "build_s2n", counted)
-    monkeypatch.setattr(edgemagic.cli, "build_s2n", counted)
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in ("build_s2n", "_is_star_composition"):
+        counted = counting(name)
+        monkeypatch.setattr(edgemagic.decomp, name, counted)
+        monkeypatch.setattr(edgemagic.cli, name, counted)
     c4 = files("c4.g", C4_TEXT)
     lab = files("alpha.lab", ALPHA_TEXT)
-    for extra in ([], ["--labeling", lab]):
+    s2n = ["s2n", "--graph", c4, "--h1", "1,2", "--n", "2"]
+    for argv in (s2n, [*s2n, "--labeling", lab], ["repro", "s2-k33"]):
         calls.clear()
-        assert main(["s2n", "--graph", c4, "--h1", "1,2", "--n", "2", *extra]) == 0
-        assert len(calls) == 1, extra
-    assert _last_cert(capsys)[1]["result"]["iso_verified"] is True
+        assert main(argv) == 0
+        assert calls == {"build_s2n": 1, "_is_star_composition": 1}, argv
+        cert = _last_cert(capsys)[1]
+        assert cert["verified"] is True
+        if argv[0] == "s2n":
+            assert cert["result"]["iso_verified"] is True
 
 
 def test_each_doubling_is_oriented_once(files, capsys, monkeypatch):

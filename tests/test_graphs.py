@@ -21,7 +21,6 @@ from edgemagic import (
     mk_star_with_loop,
     parse_digraph,
     parse_graph,
-    underlying,
 )
 
 
@@ -55,11 +54,7 @@ def test_non_integer_endpoints_rejected():
 
 def test_degree_counts_loops_twice():
     G = Graph(2, ((1, 1), (1, 2)))
-    assert G.degree(1) == 3
-    assert G.degree(2) == 1
     assert G.degrees() == (3, 1)
-    with pytest.raises(ValueError):
-        G.degree(3)
 
 
 def test_is_simple_rejects_loops_and_parallel_edges():
@@ -139,12 +134,6 @@ def test_check_bipartition_rejects_bad_witness():
 def test_bipartition_sides_must_be_disjoint():
     with pytest.raises(ValueError):
         Bipartition(frozenset({1, 2}), frozenset({2, 3}))
-
-
-def test_underlying_preserves_arc_order():
-    D = Digraph(3, ((2, 1), (3, 2)))
-    G = underlying(D)
-    assert G.edges == ((1, 2), (2, 3))
 
 
 def test_edges_match_under_identity_and_relabel():

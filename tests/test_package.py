@@ -29,16 +29,16 @@ PUBLIC_NAMES = [
     "extend_vertex_labeling", "first_em_labeling", "first_sem_labeling", "format_digraph",
     "format_graph", "format_labeling", "induced_labeling_from_em_factors",
     "induced_labeling_from_sem_factors", "induced_s2n_labeling", "induced_sums",
-    "is_perfect_em", "is_perfect_sem", "is_super_edge_magic", "mk_complete_bipartite",
+    "is_super_edge_magic", "mk_complete_bipartite",
     "mk_crown", "mk_cycle", "mk_star_with_loop", "normalize_by_labels", "obstruction_report",
     "orient_cycle", "orient_for_decomposition", "parse_digraph", "parse_graph",
     "parse_labeling", "predicted_valences", "s2n_iso_map", "sem_factor_key", "sem_interval",
     "sem_spectrum", "star_loop_labeling", "star_product_valences", "tensor_product",
-    "transport", "trivial_valence_bounds", "underlying", "valence_count_floor", "valence_of",
+    "transport", "trivial_valence_bounds", "valence_count_floor", "valence_of",
     "verify_s2n_iso",
 ]
 
 
 def test_public_names_are_frozen():
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 68
     assert sorted(edgemagic.__all__) == PUBLIC_NAMES

@@ -21,8 +21,6 @@ from edgemagic import (
     em_spectrum,
     first_em_labeling,
     first_sem_labeling,
-    is_perfect_em,
-    is_perfect_sem,
     is_super_edge_magic,
     mk_complete_bipartite,
     mk_crown,
@@ -136,12 +134,12 @@ def test_sem_dual_of_a_witness_achieves_the_mirror_valence():
 
 
 def test_perfect_flags():
-    assert is_perfect_em(mk_cycle(4))
-    assert is_perfect_sem(mk_star_with_loop(2))
+    assert em_spectrum(mk_cycle(4)).perfect
+    assert sem_spectrum(mk_star_with_loop(2)).perfect
     # interval [10,14] but only {10,12,14} achieved
-    assert not is_perfect_em(mk_complete_bipartite(1, 3))
+    assert not em_spectrum(mk_complete_bipartite(1, 3)).perfect
     # empty interval: vacuously perfect
-    assert is_perfect_sem(mk_cycle(4))
+    assert sem_spectrum(mk_cycle(4)).perfect
 
 
 def test_k33_em_spectrum_frozen():
