@@ -80,9 +80,13 @@ def trivial_valence_bounds(G: Graph) -> tuple[int, int]:
     the triple holding label p+q also holds two labels of at least 1 and 2,
     and the triple holding label 1 is capped by the two largest labels.
     They hold only when every label sits in some triple of three
-    distinct positions, so loops (which repeat a vertex) and isolated
-    vertices (which join no triple) can beat them by one.  The function
-    returns the formula values regardless; apply them where they apply.
+    distinct positions, so loops (which repeat a vertex) can beat them by
+    one and isolated vertices (which join no triple) by one each.  The
+    function returns the formula values regardless; the spectrum search
+    (search._search) applies them where they apply: it searches no
+    valence below the lower one less 1 for a loop and, for edge magic
+    labelings, less 1 per isolated vertex, and the lower one less 1 for a
+    loop bounds super edge magic valences too.
     """
     if G.q == 0:
         raise ValueError("valence bounds need at least one edge")

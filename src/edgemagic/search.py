@@ -8,7 +8,7 @@ prunes the branch.  Assigning all p vertices therefore pins all q edge
 labels, and the used-set discipline guarantees the result is a bijection
 onto 1..p+q.
 
-Six exact devices keep the search small.
+Seven exact devices keep the search small.
 
 Mirror.  Every spectrum is symmetric about the middle of its rational
 window.  Replacing each label x by p+q+1-x turns an edge magic labeling
@@ -18,6 +18,25 @@ valence k into one of valence 4p+q+3-k.  Those sums c are exactly
 raw_min + raw_max of the window, so only the valences k with 2k <= c are
 searched, and the witness reported for c-k is the dual of the witness
 found for k.
+
+Extreme labels.  Write N = p+q, i for the number of isolated vertices
+and l = 1 when G has a loop, l = 0 otherwise.  An edge magic labeling
+has no valence below N - i + 3 - l: the isolated vertices hold only i
+labels, so one of N - i, ..., N, say L, lies in the triple of some edge;
+a non-loop edge adds two distinct labels to it, at least 1 + 2, and a
+loop adds at least 2 (a vertex label twice, or L on the vertex and the
+loop's label at least 1, with 2L + 1 >= L + 2).  With neither loops nor
+isolated vertices that is the floor N + 3 of
+intervals.trivial_valence_bounds.  A super edge magic labeling of
+valence k gives the q edges the sums f(u) + f(v) = k - p - q, ...,
+k - p - 1; a non-loop edge sum is at least 1 + 2 and a loop sum at least
+2, so k >= N + 3 - l.  Each lower-half valence below its floor is a miss
+without a search (the upper half, the duals of the lower hits, needs no
+test of its own), and the search is planned only when the first valence
+that needs one arrives.  The super edge magic floor passes the middle
+(4p+q+3)/2 of the window when q > 2p - 3 + 2l, so such a graph, K3,5
+among them, builds no plan: the bound q <= 2p - 3 of Enomoto, Llado,
+Nakamigawa and Ringel (SUT J. Math. 1998) for loopless graphs.
 
 Remainder.  Each label 1..p+q is used once, so the labels sum to
 T = (p+q)(p+q+1)/2, and summing the edge equation over all q edges gives
@@ -196,7 +215,9 @@ Every witness, mirrored and known ones included, is re-verified before
 it is reported.  The search is exact and deterministic but exponential, so
 instances are refused beyond a size cap instead of silently running
 forever, and so is a search deeper than the recursion limit allows on
-top of the frames its caller already uses.
+top of the frames its caller already uses.  The cap is checked before
+anything else; the depth only when a valence is searched, so a graph
+whose whole lower half lies below its floor is answered at any depth.
 """
 from __future__ import annotations
 
@@ -209,7 +230,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .intervals import IntervalReport, em_interval, sem_interval
+from .intervals import IntervalReport, em_interval, sem_interval, trivial_valence_bounds
 from .labelings import TotalLabeling, complement, is_super_edge_magic, valence_of
 
 __all__ = [
@@ -512,6 +533,14 @@ def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:
     )
 
 
+def _valence_floor(G: Graph, kind: str) -> int:
+    """The least valence the extreme labels allow: p+q+3 (the floor of
+    intervals.trivial_valence_bounds) less 1 when G has a loop and, for
+    edge magic labelings, less the number of isolated vertices."""
+    floor = trivial_valence_bounds(G)[0] - any(u == v for u, v in G.edges)
+    return floor if kind == "sem" else floor - G.degrees().count(0)
+
+
 def _search(
     G: Graph, kind: str, cap: int, known: Mapping[int, TotalLabeling] = {}
 ) -> tuple[IntervalReport, Iterator[tuple[int, TotalLabeling]]]:
@@ -523,7 +552,9 @@ def _search(
     streamed afterwards as the duals of the lower hits.  known maps
     valences to labelings of this kind already in hand: a lower valence k
     takes known[k], or the dual of known[mirror - k], instead of a search,
-    so its witness need not be the least one.
+    so its witness need not be the least one.  A lower valence below the
+    extreme-label floor is a miss without a search, and the search is
+    planned only when the first valence that needs one arrives.
     """
     if G.p + G.q > cap:
         raise BudgetExceededError(
@@ -534,7 +565,12 @@ def _search(
     dual = _sem_dual if kind == "sem" else complement
     # exactly 3(p+q+1) for EM and 4p+q+3 for SEM
     mirror = int(interval.raw_min + interval.raw_max)
-    find = _witness_finder(G, kind, mirror)
+    # the loop and isolated-vertex terms only lower p+q+3, so a window
+    # that starts at p+q+3 or above need not read them
+    floor = trivial_valence_bounds(G)[0]
+    if interval.lo < floor:
+        floor = _valence_floor(G, kind)
+    find: Callable[[int], TotalLabeling | None] | None = None
 
     def verified(k: int, w: TotalLabeling) -> tuple[int, TotalLabeling]:
         if recheck(G, w) != k:
@@ -542,6 +578,7 @@ def _search(
         return k, w
 
     def hits() -> Iterator[tuple[int, TotalLabeling]]:
+        nonlocal find
         lower: list[tuple[int, TotalLabeling]] = []
         for k in interval.values():
             if 2 * k > mirror:
@@ -550,7 +587,11 @@ def _search(
                 w = known[k]
             elif mirror - k in known:
                 w = dual(G, known[mirror - k])
+            elif k < floor:
+                continue
             else:
+                if find is None:
+                    find = _witness_finder(G, kind, mirror)
                 w = find(k)
             if w is not None:
                 lower.append((k, w))

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 import sys
+from itertools import product
 from math import gcd
 
 import pytest
@@ -18,6 +20,7 @@ from edgemagic import (
     bipartition,
     build_s2n,
     complement,
+    em_interval,
     em_spectrum,
     first_em_labeling,
     first_sem_labeling,
@@ -26,10 +29,11 @@ from edgemagic import (
     mk_crown,
     mk_cycle,
     mk_star_with_loop,
+    sem_interval,
     sem_spectrum,
     valence_of,
 )
-from edgemagic.search import _search
+from edgemagic.search import _search, _valence_floor, _witness_finder
 from naive import CORPUS, WIDE_CORPUS, naive_least_witness, naive_valences, twin_classes
 
 # Frozen from a one-off brute-force enumeration over all labelings.
@@ -169,6 +173,69 @@ def test_known_witnesses_are_rechecked_like_found_ones():
     for known in ({12: found[13]}, {15: found[14]}):
         with pytest.raises(RuntimeError, match="search produced a bad witness for valence 12"):
             list(_search(G, "em", 16, known)[1])
+
+
+def _floor_graphs() -> dict[str, Graph]:
+    """WIDE_CORPUS and 100 seeded graphs with p <= 4 and p+q <= 9, no edge
+    repeated, loops and isolated vertices among them."""
+    rng = random.Random(1)
+    graphs = dict(WIDE_CORPUS)
+    for n in range(100):
+        p = rng.randint(1, 4)
+        slots = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
+        graphs[f"sweep{n}"] = Graph(p, tuple(rng.sample(slots, rng.randint(1, min(len(slots), 9 - p)))))
+    return graphs
+
+
+def _every_valence(G: Graph, kind: str) -> list[int]:
+    """naive_valences where it enumerates quickly: every super edge magic
+    case and the edge magic ones with p+q <= 9.  Beyond that (C5, C6,
+    K2,3, K3,3, K1,4 with a loop, crown(3,1)) every valence of the window,
+    each searched by the plan with no floor in front of it."""
+    if kind == "sem" or G.p + G.q <= 9:
+        return naive_valences(G, kind)
+    find = _witness_finder(G, "em", _mirror(G, "em"))
+    return [k for k in em_interval(G).values() if find(k) is not None]
+
+
+def test_extreme_label_floors_are_sound_and_tight():
+    # no valence lies below the floor or above its mirror, and each kind
+    # attains its floor with and without a loop and with and without an
+    # isolated vertex, so a floor set too low by any term fails too
+    tight = set()
+    for name, G in _floor_graphs().items():
+        loop, isolated = any(u == v for u, v in G.edges), 0 in G.degrees()
+        for kind in ("em", "sem"):
+            floor, valences = _valence_floor(G, kind), _every_valence(G, kind)
+            assert all(floor <= k <= _mirror(G, kind) - floor for k in valences), (name, kind)
+            if valences and valences[0] == floor:
+                tight.add((kind, loop, isolated))
+    assert tight == set(product(("em", "sem"), (False, True), (False, True)))
+
+
+def test_screened_valences_build_no_plan_and_refusals_keep_their_order(monkeypatch):
+    # K3,5 has q = 15 > 2p - 3 = 13: its super edge magic floor p+q+3 = 26
+    # lies above the middle 25 of the window, so no valence is searched
+    K35 = mk_complete_bipartite(3, 5)
+
+    def unplanned(G, kind, mirror):
+        raise AssertionError(f"planned a {kind} search")
+
+    monkeypatch.setattr("edgemagic.search._witness_finder", unplanned)
+    assert first_sem_labeling(K35, cap=26) is None
+    rep = sem_spectrum(K35, cap=26)
+    assert (rep.achieved, rep.witnesses, rep.interval) == ((), {}, sem_interval(K35))
+    # the cap is refused before the floor is read: p+q = 23
+    for call in (first_sem_labeling, sem_spectrum):
+        with pytest.raises(BudgetExceededError, match=r"p\+q = 23 exceeds cap 16"):
+            call(K35)
+    # nor is a graph deeper than the recursion limit refused when no
+    # valence needs a search: the square of the path on n vertices, its
+    # ends joined, has q = 2p - 2, and a search of its lowest valence
+    # runs down the path past the limit
+    n = sys.getrecursionlimit() + 50
+    edges = [(v, v + d) for d in (1, 2) for v in range(1, n + 1 - d)] + [(1, n)]
+    assert first_sem_labeling(Graph(n, tuple(edges)), cap=4 * n) is None
 
 
 def test_first_labeling_returns_smallest_valence():
