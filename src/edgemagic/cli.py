@@ -28,6 +28,8 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 from typing import Any, Callable, Sequence
 
 from .decomp import (
@@ -43,8 +45,11 @@ from .errors import EdgeMagicError, ParseError
 from .graphs import (
     Digraph,
     Graph,
+    _columns,
     _construct,
+    _endpoints,
     _records,
+    _respelled,
     bipartition,
     format_digraph,
     format_graph,
@@ -57,6 +62,7 @@ from .graphs import (
 from .intervals import IntervalReport, em_interval, sem_interval
 from .labelings import (
     TotalLabeling,
+    _label_columns,
     _labeling,
     format_labeling,
     induced_sums,
@@ -178,8 +184,21 @@ def _labeling_json(f: TotalLabeling) -> dict[str, list[int]]:
 def _labeled_digraph(text: str) -> LabeledDigraph:
     """Parse a digraph and its labeling from one file: 'p' and 'a' lines
     build the digraph, 'v' and 'e' lines label it, in any order."""
+    heads = ("p", "a", "v", "e")
+    table = _columns(text, heads)
+    if table is not None:
+        p, *cols = table
+        # the 'a' rows build the digraph and the others label it
+        arc = list(map("a".__eq__, cols[0]))
+        arcs = _endpoints(p, *(list(compress(col, arc)) for col in cols[1:]))
+        if arcs is not None:
+            D = Digraph(p, arcs)
+            label = list(map(not_, arc))
+            f = _label_columns(*(list(compress(col, label)) for col in cols), D.p, D.q)
+            if f is not None:
+                return LabeledDigraph(D, f)
     structure, labels = [], []
-    for record in _records(text, ("p", "a", "v", "e")):
+    for record in _records(text, heads):
         (structure if record[1] in ("p", "a") else labels).append(record)
     D = Digraph(*_construct(structure, "a"))
     return LabeledDigraph(D, _labeling(labels, D.p, D.q))
@@ -187,6 +206,13 @@ def _labeled_digraph(text: str) -> LabeledDigraph:
 
 def _assignment(text: str, members: list[LabeledDigraph], arcs: int) -> ArcAssignment:
     """The members named by the '<arc> <member>' lines of an assign file."""
+    table = _columns(text, ())
+    if table is not None:
+        _, _, arc_col, member_col = table
+        covered = sorted(arc_col) == list(range(1, arcs + 1))
+        if covered and 0 < min(member_col, default=1) and max(member_col, default=0) <= len(members):
+            chosen = dict(zip(arc_col, member_col))
+            return ArcAssignment(tuple(members[chosen[a] - 1] for a in range(1, arcs + 1)))
     picks: dict[int, LabeledDigraph] = {}
     for ln, _, (arc, member) in _records(text, ()):
         if not (0 < arc <= arcs and 0 < member <= len(members)):
@@ -195,14 +221,14 @@ def _assignment(text: str, members: list[LabeledDigraph], arcs: int) -> ArcAssig
             raise ParseError(f"assign file names arc {arc} twice", ln)
         picks[arc] = members[member - 1]
     if len(picks) != arcs:
-        raise ValueError("assign file leaves some arcs without a member")
+        raise ParseError("assign file leaves some arcs without a member")
     return ArcAssignment(tuple(picks[a] for a in range(1, arcs + 1)))
 
 
 def _parse_indices(raw: str) -> frozenset[int]:
     try:
         # the integer spelling of the input files: ASCII digits, no '+' or '_'
-        if not raw.isascii() or "+" in raw or "_" in raw:
+        if _respelled(raw):
             raise ValueError
         indices = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:

@@ -7,15 +7,16 @@ index in this package (vertices, edges, arcs) is 1-based.
 The text format is one construct per file: a line ``p <int>`` followed by one
 ``e <u> <v>`` line per edge (``a <u> <v>`` for digraph arcs).  Lines starting
 with ``#`` and blank lines are ignored, and any other unknown line is refused;
-``_records`` reads this grammar for labelings and the CLI's files too.  An
-integer field is a run of ASCII digits 0-9, after a ``-`` if negative; the
-other spellings ``int()`` takes (``+2``, ``1_0``, digits of other scripts)
-are refused.
+labelings and the CLI's files share this grammar.  An integer field is a run
+of ASCII digits 0-9, after a ``-`` if negative; the other spellings ``int()``
+takes (``+2``, ``1_0``, digits of other scripts) are refused.  A file is read
+a column at a time (``_columns``); only a file that breaks a rule is read
+again line by line (``_records``), to name its first bad line.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from operator import index
 
@@ -226,6 +227,14 @@ _MAX_VERTICES = 10**6
 _NOT_AN_INTEGER = "fields must be integers: ASCII digits 0-9, after a '-' if negative"
 
 
+def _respelled(s: str) -> bool:
+    """True when s holds a character int() reads in a field but the grammar
+    refuses: a '+', a '_' between digits, or a digit of another script.
+    Without them int() reads exactly an optional '-' and ASCII digits;
+    str.isascii() reads a flag the string keeps."""
+    return not s.isascii() or "+" in s or "_" in s
+
+
 def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tuple[int, ...]]]:
     """The line grammar of every input file: yields (line number from 1,
     directive, integer fields) for each line that is not blank or a '#'
@@ -233,14 +242,15 @@ def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tupl
     'p' takes one field, the vertex count, refused above _MAX_VERTICES
     before anything is sized by it, and every other directive two.  A
     field is ASCII digits, after a '-' if negative.
+
+    The readers take _columns first; these per-line rules read a text
+    only when _columns refuses it, to name its first bad line.
     """
     allowed = frozenset(heads)
     width = 3 if heads else 2  # tokens on a line other than 'p'
-    # int() also reads '+', '_' between digits and non-ASCII digits, and
-    # without them exactly an optional '-' and ASCII digits; so the fields
-    # are checked line by line only when the text holds one of them (in a
-    # comment, perhaps).  str.isascii() reads a flag the string keeps
-    suspect = not text.isascii() or "+" in text or "_" in text
+    # the fields are checked line by line only when the text holds a
+    # refused spelling somewhere (in a comment, perhaps)
+    suspect = _respelled(text)
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -250,10 +260,8 @@ def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tupl
             raise ParseError(f"unknown directive {head!r} (expected {'/'.join(heads)})", ln)
         if len(parts) != (2 if head == "p" else width):
             raise ParseError(f"expected {1 if head == 'p' else 2} integer field(s)", ln)
-        if suspect:
-            spelled = parts[1] if head == "p" else parts[-2] + parts[-1]
-            if not spelled.isascii() or "+" in spelled or "_" in spelled:
-                raise ParseError(_NOT_AN_INTEGER, ln)
+        if suspect and _respelled(parts[1] if head == "p" else parts[-2] + parts[-1]):
+            raise ParseError(_NOT_AN_INTEGER, ln)
         try:
             values = (int(parts[1]),) if head == "p" else (int(parts[-2]), int(parts[-1]))
         except ValueError:
@@ -283,14 +291,92 @@ def _construct(records: Iterable[tuple[int, str, tuple[int, ...]]], directive: s
     return p, pairs
 
 
+def _ints(fields: Sequence[str], suspect: bool) -> list[int] | None:
+    """The integers a column of fields spells, or None when one field is
+    not ASCII digits after an optional '-'."""
+    if suspect and _respelled("".join(fields)):
+        return None
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        return None
+
+
+def _columns(
+    text: str, heads: tuple[str, ...]
+) -> tuple[int | None, Sequence[str], list[int], list[int]] | None:
+    """_records read a column at a time: (p, directives, firsts, seconds),
+    the 'p' field (None when heads hold no 'p') and, in file order, the
+    directive column and the two integer field columns of the other
+    lines (no directives when heads is empty).  When heads hold 'p' they
+    start with it: the text must then have one 'p' line, with no line
+    of the next directive in heads before it, as _construct requires.
+
+    None when some line breaks these rules or those of _records: the
+    caller then reads the text line by line, which names the first bad
+    line.  So every valid text is read here, and only here.
+
+    Once each line is known to hold as many tokens as its directive
+    takes, the text's tokens in one list are the lines' tokens in a row,
+    and each column is a slice of it; no list is kept per line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if line.lstrip()[:1] != "#"]
+        text = " ".join(lines)
+    counts = list(filter(None, map(len, map(str.split, lines))))
+    tokens = text.split()
+    suspect = _respelled(text)
+    width = 3 if heads else 2  # tokens on a line other than 'p'
+    p = None
+    if heads[:1] == ("p",):
+        if counts.count(2) != 1 or counts.count(3) != len(counts) - 1:
+            return None
+        at = 3 * counts.index(2)
+        if tokens[at] != "p" or heads[1] in tokens[0:at:3]:
+            return None
+        count = _ints(tokens[at + 1:at + 2], suspect)
+        if count is None or not 0 <= count[0] <= _MAX_VERTICES:
+            return None
+        p = count[0]
+        del tokens[at:at + 2]
+    elif counts.count(width) != len(counts):
+        return None
+    directives = tokens[0::3] if heads else ()
+    # a second 'p' line of three tokens is refused here
+    if heads and not set(directives) <= set(heads) - {"p"}:
+        return None
+    firsts, seconds = _ints(tokens[width - 2::width], suspect), _ints(tokens[width - 1::width], suspect)
+    if firsts is None or seconds is None:
+        return None
+    return p, directives, firsts, seconds
+
+
+def _endpoints(p: int, us: list[int], vs: list[int]) -> list[tuple[int, int]] | None:
+    """The pairs of two endpoint columns, or None when one lies outside 1..p."""
+    if us and not (0 < min(us) and max(us) <= p and 0 < min(vs) and max(vs) <= p):
+        return None
+    return list(zip(us, vs))
+
+
+def _structure(text: str, directive: str) -> tuple[int, list]:
+    """The vertex count and endpoint pairs of a 'p' and directive file."""
+    heads = ("p", directive)
+    table = _columns(text, heads)
+    pairs = None if table is None else _endpoints(table[0], *table[2:])
+    if pairs is None:
+        return _construct(_records(text, heads), directive)
+    return table[0], pairs
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the undirected text format ('p' line, then 'e <u> <v>' lines)."""
-    return Graph(*_construct(_records(text, ("p", "e")), "e"))
+    return Graph(*_structure(text, "e"))
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the directed text format ('p' line, then 'a <u> <v>' lines)."""
-    return Digraph(*_construct(_records(text, ("p", "a")), "a"))
+    return Digraph(*_structure(text, "a"))
 
 
 def format_graph(G: Graph) -> str:

@@ -367,9 +367,11 @@ def test_product_refuses_bad_lines_in_combined_files(files, capsys, text, line):
          ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
         ("twice.l", IDENTITY_TEXT.replace("v 2 2", "v 2 1"), ["verify", "{c4}", "{}"]),
         ("e3.g", "p 3\n", ["decompose", "--graph", "{}", "--enumerate", "--include-empty"]),
+        ("A.assign", "1 1\n2 1\n",
+         ["product", "--mode", "spk", "--d", "{cyc}", "--member", "{star}", "--assign", "{}"]),
     ],
     ids=["decompose-not-bipartite", "assign-arc-out-of-range", "assign-member-out-of-range",
-         "labels-not-a-bijection", "decompose-edgeless-include-empty"],
+         "labels-not-a-bijection", "decompose-edgeless-include-empty", "assign-arcs-without-a-member"],
 )
 def test_refusals_name_the_file_as_given(files, capsys, name, text, argv):
     bad = files(name, text)

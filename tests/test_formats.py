@@ -1,10 +1,16 @@
-"""parse ∘ format is the identity on every text format, combined files too."""
+"""parse ∘ format is the identity on every text format, combined files too;
+the column reader agrees with the per-line rules on every format."""
 from __future__ import annotations
 
-from hypothesis import given, settings
+import re
+from contextlib import ExitStack
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgemagic import (
+    ArcAssignment,
     Digraph,
     Graph,
     LabeledDigraph,
@@ -16,7 +22,10 @@ from edgemagic import (
     parse_graph,
     parse_labeling,
 )
-from edgemagic.cli import _labeled_digraph
+from edgemagic import cli, graphs, labelings
+from edgemagic.cli import _assignment, _labeled_digraph
+from edgemagic.errors import ParseError
+from test_cli import _inputs
 
 # derandomize fixes the examples, so every run checks the same inputs.
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -57,3 +66,170 @@ def test_combined_labeled_digraphs_read_back_unchanged(case):
     want = LabeledDigraph(D, f)
     assert _labeled_digraph(format_digraph(D) + format_labeling(f)) == want
     assert _labeled_digraph(format_labeling(f) + "\n# the digraph\n" + format_digraph(D)) == want
+
+
+# -- the column reader against the per-line rules -------------------------
+#
+# Every reader takes graphs._columns first and reads a text line by line
+# (graphs._records) only when _columns refuses it.  With _columns switched
+# off, a reader follows the per-line rules alone: that is the reference.
+# A text they accept must give the same object with _records switched
+# off, so the column reader accepted it; a text they refuse must give the
+# same ParseError, text and line number, with both switched on.
+
+_MODULES = (graphs, labelings, cli)
+# three distinct members for assign files
+_MEMBERS = [
+    LabeledDigraph(Digraph(1), TotalLabeling((1,), ())),
+    LabeledDigraph(Digraph(2), TotalLabeling((1, 2), ())),
+    LabeledDigraph(Digraph(2), TotalLabeling((2, 1), ())),
+]
+
+
+def _switched_off(name: str, stand_in):
+    stack = ExitStack()
+    for module in _MODULES:
+        stack.enter_context(mock.patch.object(module, name, stand_in))
+    return stack
+
+
+def _refuse_valid_text(*_):
+    raise AssertionError("the column reader refused a text the per-line rules accept")
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return exc
+
+
+def _same_as_line_rules(read, text: str):
+    """What the per-line rules make of text, after checking that the
+    reader gives the same: the object, or the ParseError."""
+    with _switched_off("_columns", lambda *_: None):
+        want = _outcome(read, text)
+    if isinstance(want, ParseError):
+        got = _outcome(read, text)
+        assert isinstance(got, ParseError), (text, got)
+        assert (str(got), got.line) == (str(want), want.line), text
+    else:
+        with _switched_off("_records", _refuse_valid_text):
+            assert read(text) == want, text
+    return want
+
+
+@st.composite
+def _spelled(draw, n: int) -> str:
+    """n as the grammar spells it, with leading zeros, and a '-' before 0."""
+    minus = "-" if n == 0 and draw(st.booleans()) else ""
+    return minus + "0" * draw(st.integers(0, 2)) + str(n)
+
+
+_NOISE = st.sampled_from(["", "  ", "\t", "# a comment", "#e 1 2", "# +1 1_0 \u0663", " # p 3"])
+
+
+@st.composite
+def _text(draw, rows: list[tuple]) -> str:
+    """rows as lines: a directive ("" for none) and integer fields, spaced
+    out and respelled, with blank and comment lines put in anywhere, LF
+    or CRLF endings and perhaps no final line break."""
+    lines = []
+    for head, *fields in rows:
+        tokens = [head] * bool(head) + [draw(_spelled(x)) for x in fields]
+        space = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        ends = draw(st.sampled_from(["", " "])), draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(ends[0] + space.join(tokens) + ends[1])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+_FORMATS = ["graph", "digraph", "labeling", "combined", "assign"]
+
+
+def _label_rows(f: TotalLabeling) -> list[tuple]:
+    return [("v", i, x) for i, x in enumerate(f.vertex_labels, 1)] + [
+        ("e", i, x) for i, x in enumerate(f.edge_labels, 1)]
+
+
+@st.composite
+def _valid_file(draw):
+    """A reader, the rows of a valid file for it and the object they spell,
+    in one of _FORMATS."""
+    p, pairs, f = draw(labeled_pairs())
+    D = Digraph(p, pairs)
+    labels = draw(st.permutations(_label_rows(f)))
+    fmt = draw(st.sampled_from(_FORMATS))
+    if fmt in ("graph", "digraph"):
+        head, read, want = ("e", parse_graph, Graph(p, pairs)) if fmt == "graph" else ("a", parse_digraph, D)
+        return read, [("p", p), *((head, u, v) for u, v in pairs)], want
+    if fmt == "labeling":
+        return lambda text: parse_labeling(text, p, len(pairs)), labels, f
+    if fmt == "combined":
+        # labels anywhere, the 'p' line before the arcs, the arcs in order
+        rows = [("p", p), *(("a", u, v) for u, v in pairs)]
+        for row in labels:
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        return _labeled_digraph, rows, LabeledDigraph(D, f)
+    # every member named, so that one past the largest is out of range
+    picks = draw(st.lists(st.integers(1, len(_MEMBERS)), min_size=len(pairs), max_size=len(pairs)))
+    members = _MEMBERS[:max(picks, default=0)]
+    rows = draw(st.permutations([("", a, m) for a, m in enumerate(picks, 1)]))
+    want = ArcAssignment(tuple(_MEMBERS[m - 1] for m in picks))
+    return lambda text: _assignment(text, members, len(pairs)), rows, want
+
+
+def _changes(rows: list[tuple]):
+    """Each text one change away from rows, which may break it: a field set
+    to 0, to one past its own value or its column's largest, or past the
+    largest vertex count allowed; a row's directive unknown; a row
+    dropped, repeated or moved to the end; a 'p' line put first; or a 'p'
+    line with two fields put last."""
+    for at, row in enumerate(rows):
+        for j in range(1, len(row)):
+            top = max(other[j] for other in rows if len(other) == len(row))
+            for value in sorted({0, row[j] + 1, top + 1, 10**6 + 1}):
+                yield [*rows[:at], (*row[:j], value, *row[j + 1:]), *rows[at + 1:]]
+        yield [*rows[:at], ("x", *row[1:]), *rows[at + 1:]]
+        yield rows[:at] + rows[at + 1:]
+        yield rows + [row]
+        yield rows[:at] + rows[at + 1:] + [row]
+    yield [("p", 1), *rows]
+    yield [*rows, ("p", 1, 1)]
+
+
+_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@_DIFFERENTIAL
+@given(_valid_file(), st.data())
+def test_valid_files_take_the_column_reader(case, data):
+    read, rows, want = case
+    assert _same_as_line_rules(read, data.draw(_text(rows))) == want
+
+
+@_DIFFERENTIAL
+@given(_valid_file())
+def test_files_one_change_away_get_the_line_rules_outcome(case):
+    read, rows, _ = case
+    for changed in _changes(rows):
+        _same_as_line_rules(read, "".join(" ".join(map(str, row)) + "\n" for row in changed))
+
+
+@_DIFFERENTIAL
+@given(_inputs(), st.sampled_from(_FORMATS))
+def test_malformed_files_get_the_line_rules_outcome(files, fmt):
+    graph, labeling = (data.decode("utf-8", "replace") for data in files)
+    # counted from the text, so that some labelings and assign files fit
+    p, q = len(re.findall(r"(?m)^v ", labeling)), len(re.findall(r"(?m)^e ", labeling))
+    read, text = {
+        "graph": (parse_graph, graph),
+        "digraph": (parse_digraph, re.sub(r"(?m)^e ", "a ", graph)),
+        "labeling": (lambda text: parse_labeling(text, p, q), labeling),
+        "combined": (_labeled_digraph, re.sub(r"(?m)^e ", "a ", graph) + "\n" + labeling),
+        "assign": (lambda text: _assignment(text, _MEMBERS, p + q), re.sub(r"(?m)^[ve] ", "", labeling)),
+    }[fmt]
+    _same_as_line_rules(read, text)
