@@ -28,8 +28,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
-from operator import not_
 from typing import Any, Callable, Sequence
 
 from .decomp import (
@@ -45,9 +43,7 @@ from .errors import EdgeMagicError, ParseError
 from .graphs import (
     Digraph,
     Graph,
-    _columns,
     _construct,
-    _endpoints,
     _records,
     _respelled,
     bipartition,
@@ -62,7 +58,6 @@ from .graphs import (
 from .intervals import IntervalReport, em_interval, sem_interval
 from .labelings import (
     TotalLabeling,
-    _label_columns,
     _labeling,
     format_labeling,
     induced_sums,
@@ -184,21 +179,8 @@ def _labeling_json(f: TotalLabeling) -> dict[str, list[int]]:
 def _labeled_digraph(text: str) -> LabeledDigraph:
     """Parse a digraph and its labeling from one file: 'p' and 'a' lines
     build the digraph, 'v' and 'e' lines label it, in any order."""
-    heads = ("p", "a", "v", "e")
-    table = _columns(text, heads)
-    if table is not None:
-        p, *cols = table
-        # the 'a' rows build the digraph and the others label it
-        arc = list(map("a".__eq__, cols[0]))
-        arcs = _endpoints(p, *(list(compress(col, arc)) for col in cols[1:]))
-        if arcs is not None:
-            D = Digraph(p, arcs)
-            label = list(map(not_, arc))
-            f = _label_columns(*(list(compress(col, label)) for col in cols), D.p, D.q)
-            if f is not None:
-                return LabeledDigraph(D, f)
     structure, labels = [], []
-    for record in _records(text, heads):
+    for record in _records(text, ("p", "a", "v", "e")):
         (structure if record[1] in ("p", "a") else labels).append(record)
     D = Digraph(*_construct(structure, "a"))
     return LabeledDigraph(D, _labeling(labels, D.p, D.q))
@@ -206,13 +188,6 @@ def _labeled_digraph(text: str) -> LabeledDigraph:
 
 def _assignment(text: str, members: list[LabeledDigraph], arcs: int) -> ArcAssignment:
     """The members named by the '<arc> <member>' lines of an assign file."""
-    table = _columns(text, ())
-    if table is not None:
-        _, _, arc_col, member_col = table
-        covered = sorted(arc_col) == list(range(1, arcs + 1))
-        if covered and 0 < min(member_col, default=1) and max(member_col, default=0) <= len(members):
-            chosen = dict(zip(arc_col, member_col))
-            return ArcAssignment(tuple(members[chosen[a] - 1] for a in range(1, arcs + 1)))
     picks: dict[int, LabeledDigraph] = {}
     for ln, _, (arc, member) in _records(text, ()):
         if not (0 < arc <= arcs and 0 < member <= len(members)):

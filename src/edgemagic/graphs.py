@@ -9,9 +9,11 @@ The text format is one construct per file: a line ``p <int>`` followed by one
 with ``#`` and blank lines are ignored, and any other unknown line is refused;
 labelings and the CLI's files share this grammar.  An integer field is a run
 of ASCII digits 0-9, after a ``-`` if negative; the other spellings ``int()``
-takes (``+2``, ``1_0``, digits of other scripts) are refused.  A file is read
-a column at a time (``_columns``); only a file that breaks a rule is read
-again line by line (``_records``), to name its first bad line.
+takes (``+2``, ``1_0``, digits of other scripts) are refused.  A line ends at
+LF, CRLF or CR, and nowhere else.  Graph, digraph and labeling files are read
+a column at a time (``_columns``); only such a file that breaks a rule is
+read again line by line (``_records``), to name its first bad line.  The
+CLI's combined and assign files are read line by line alone.
 """
 from __future__ import annotations
 
@@ -235,6 +237,15 @@ def _respelled(s: str) -> bool:
     return not s.isascii() or "+" in s or "_" in s
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of text, each ended by LF, CRLF or CR; not by the other
+    breaks str.splitlines() knows (form feed, U+0085, U+2028, ...), which
+    may sit inside a comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tuple[int, ...]]]:
     """The line grammar of every input file: yields (line number from 1,
     directive, integer fields) for each line that is not blank or a '#'
@@ -243,15 +254,16 @@ def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tupl
     before anything is sized by it, and every other directive two.  A
     field is ASCII digits, after a '-' if negative.
 
-    The readers take _columns first; these per-line rules read a text
-    only when _columns refuses it, to name its first bad line.
+    Graph, digraph and labeling texts are read here only when _columns
+    refuses them, to name the first bad line; the CLI's combined and
+    assign files always.
     """
     allowed = frozenset(heads)
     width = 3 if heads else 2  # tokens on a line other than 'p'
     # the fields are checked line by line only when the text holds a
     # refused spelling somewhere (in a comment, perhaps)
     suspect = _respelled(text)
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(_lines(text), 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -303,14 +315,15 @@ def _ints(fields: Sequence[str], suspect: bool) -> list[int] | None:
 
 
 def _columns(
-    text: str, heads: tuple[str, ...]
-) -> tuple[int | None, Sequence[str], list[int], list[int]] | None:
-    """_records read a column at a time: (p, directives, firsts, seconds),
-    the 'p' field (None when heads hold no 'p') and, in file order, the
-    directive column and the two integer field columns of the other
-    lines (no directives when heads is empty).  When heads hold 'p' they
-    start with it: the text must then have one 'p' line, with no line
-    of the next directive in heads before it, as _construct requires.
+    text: str, heads: tuple[str, str]
+) -> tuple[int | None, list[str], list[int], list[int]] | None:
+    """_records read a column at a time, for a graph or digraph file
+    (heads 'p' and 'e' or 'a') or a labeling file ('v' and 'e'):
+    (p, directives, firsts, seconds), the 'p' field (None when heads
+    hold no 'p') and, in file order, the directive column and the two
+    integer field columns of the other lines.  When heads hold 'p', the
+    text must have one 'p' line, with no line of the other directive
+    before it, as _construct requires.
 
     None when some line breaks these rules or those of _records: the
     caller then reads the text line by line, which names the first bad
@@ -320,16 +333,15 @@ def _columns(
     takes, the text's tokens in one list are the lines' tokens in a row,
     and each column is a slice of it; no list is kept per line.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     if "#" in text:
         lines = [line for line in lines if line.lstrip()[:1] != "#"]
         text = " ".join(lines)
     counts = list(filter(None, map(len, map(str.split, lines))))
     tokens = text.split()
     suspect = _respelled(text)
-    width = 3 if heads else 2  # tokens on a line other than 'p'
     p = None
-    if heads[:1] == ("p",):
+    if heads[0] == "p":
         if counts.count(2) != 1 or counts.count(3) != len(counts) - 1:
             return None
         at = 3 * counts.index(2)
@@ -340,33 +352,27 @@ def _columns(
             return None
         p = count[0]
         del tokens[at:at + 2]
-    elif counts.count(width) != len(counts):
+    elif counts.count(3) != len(counts):
         return None
-    directives = tokens[0::3] if heads else ()
+    directives = tokens[0::3]
     # a second 'p' line of three tokens is refused here
-    if heads and not set(directives) <= set(heads) - {"p"}:
+    if not set(directives) <= set(heads) - {"p"}:
         return None
-    firsts, seconds = _ints(tokens[width - 2::width], suspect), _ints(tokens[width - 1::width], suspect)
+    firsts, seconds = _ints(tokens[1::3], suspect), _ints(tokens[2::3], suspect)
     if firsts is None or seconds is None:
         return None
     return p, directives, firsts, seconds
-
-
-def _endpoints(p: int, us: list[int], vs: list[int]) -> list[tuple[int, int]] | None:
-    """The pairs of two endpoint columns, or None when one lies outside 1..p."""
-    if us and not (0 < min(us) and max(us) <= p and 0 < min(vs) and max(vs) <= p):
-        return None
-    return list(zip(us, vs))
 
 
 def _structure(text: str, directive: str) -> tuple[int, list]:
     """The vertex count and endpoint pairs of a 'p' and directive file."""
     heads = ("p", directive)
     table = _columns(text, heads)
-    pairs = None if table is None else _endpoints(table[0], *table[2:])
-    if pairs is None:
-        return _construct(_records(text, heads), directive)
-    return table[0], pairs
+    if table is not None:
+        p, _, us, vs = table
+        if not us or (0 < min(us) and max(us) <= p and 0 < min(vs) and max(vs) <= p):
+            return p, list(zip(us, vs))
+    return _construct(_records(text, heads), directive)
 
 
 def parse_graph(text: str) -> Graph:

@@ -383,6 +383,26 @@ def test_refusals_name_the_file_as_given(files, capsys, name, text, argv):
     assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "name, text, line, argv",
+    [
+        ("ff.g", "p 2{end}\x0c{end}e 1 x{end}", 3, ["interval", "--kind", "em", "{}"]),
+        ("nel.g", "p 2{end}# caf\u0085 note{end}e 1 x{end}", 3, ["interval", "--kind", "em", "{}"]),
+        ("nel.d", "# caf\u0085 \u2028note{end}" + CYC_D_TEXT.replace("a 2 3", "a 2 x"), 4,
+         ["product", "--mode", "spk", "--d", "{}", "--member", "{star}"]),
+    ],
+    ids=["form-feed-line", "next-line-in-a-comment", "combined-file"],
+)
+def test_lines_end_only_at_lf_crlf_or_cr(files, capsys, end, name, text, line, argv):
+    bad = files(name, text.format(end=end))
+    code = main([arg.format(bad, star=files("star.d", STAR_D_TEXT)) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: line {line}: fields must be integers"), err
+    assert len(err.splitlines()) == 1
+
+
 def test_parse_errors_name_the_file_among_four(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     texts = {"A.d": CYC_D_TEXT, "B.d": STAR_D_TEXT, "C.d": STAR_D_TEXT + "x junk\n",
@@ -929,13 +949,14 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _refused_spelling(data: bytes) -> bool:
-    """True when data is not UTF-8 text, or when a line that is not blank
-    or a comment has a field other than ASCII digits after an optional '-'."""
+    """True when data is not UTF-8 text, or when a line (ended by LF, CRLF
+    or CR) that is not blank or a comment has a field other than ASCII
+    digits after an optional '-'."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return True
-    for line in text.splitlines():
+    for line in re.split("\r\n?|\n", text):
         parts = line.split()
         if parts and parts[0][0] != "#" and not all(map(_INTEGER.fullmatch, parts[1:])):
             return True

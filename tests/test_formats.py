@@ -1,5 +1,5 @@
 """parse ∘ format is the identity on every text format, combined files too;
-the column reader agrees with the per-line rules on every format."""
+the column reader agrees with the per-line rules on the formats it reads."""
 from __future__ import annotations
 
 import re
@@ -22,7 +22,7 @@ from edgemagic import (
     parse_graph,
     parse_labeling,
 )
-from edgemagic import cli, graphs, labelings
+from edgemagic import graphs, labelings
 from edgemagic.cli import _assignment, _labeled_digraph
 from edgemagic.errors import ParseError
 from test_cli import _inputs
@@ -70,14 +70,16 @@ def test_combined_labeled_digraphs_read_back_unchanged(case):
 
 # -- the column reader against the per-line rules -------------------------
 #
-# Every reader takes graphs._columns first and reads a text line by line
-# (graphs._records) only when _columns refuses it.  With _columns switched
-# off, a reader follows the per-line rules alone: that is the reference.
-# A text they accept must give the same object with _records switched
-# off, so the column reader accepted it; a text they refuse must give the
-# same ParseError, text and line number, with both switched on.
+# The graph, digraph and labeling readers take graphs._columns first and
+# read a text line by line (graphs._records) only when _columns refuses
+# it.  With _columns switched off, a reader follows the per-line rules
+# alone: that is the reference.  A text they accept must give the same
+# object with _records switched off, so the column reader accepted it; a
+# text they refuse must give the same ParseError, text and line number,
+# with both switched on.  The CLI's combined and assign files are read by
+# the per-line rules alone: they must give their object or a ParseError.
 
-_MODULES = (graphs, labelings, cli)
+_MODULES = (graphs, labelings)
 # three distinct members for assign files
 _MEMBERS = [
     LabeledDigraph(Digraph(1), TotalLabeling((1,), ())),
@@ -126,14 +128,16 @@ def _spelled(draw, n: int) -> str:
     return minus + "0" * draw(st.integers(0, 2)) + str(n)
 
 
-_NOISE = st.sampled_from(["", "  ", "\t", "# a comment", "#e 1 2", "# +1 1_0 \u0663", " # p 3"])
+# a form feed or U+0085 ends no line, though str.splitlines() breaks there
+_NOISE = st.sampled_from(["", "  ", "\t", "# a comment", "#e 1 2", "# +1 1_0 \u0663", " # p 3",
+                          "# caf\u0085 note", "\x0c"])
 
 
 @st.composite
 def _text(draw, rows: list[tuple]) -> str:
     """rows as lines: a directive ("" for none) and integer fields, spaced
-    out and respelled, with blank and comment lines put in anywhere, LF
-    or CRLF endings and perhaps no final line break."""
+    out and respelled, with blank and comment lines put in anywhere, LF,
+    CRLF or CR endings and perhaps no final line break."""
     lines = []
     for head, *fields in rows:
         tokens = [head] * bool(head) + [draw(_spelled(x)) for x in fields]
@@ -142,11 +146,12 @@ def _text(draw, rows: list[tuple]) -> str:
         lines.append(ends[0] + space.join(tokens) + ends[1])
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-_FORMATS = ["graph", "digraph", "labeling", "combined", "assign"]
+_COLUMN_FORMATS = ["graph", "digraph", "labeling"]
+_FORMATS = [*_COLUMN_FORMATS, "combined", "assign"]
 
 
 def _label_rows(f: TotalLabeling) -> list[tuple]:
@@ -155,30 +160,30 @@ def _label_rows(f: TotalLabeling) -> list[tuple]:
 
 
 @st.composite
-def _valid_file(draw):
-    """A reader, the rows of a valid file for it and the object they spell,
-    in one of _FORMATS."""
+def _valid_file(draw, formats: list[str] = _FORMATS):
+    """A format among formats, a reader for it, the rows of a valid file
+    and the object they spell."""
     p, pairs, f = draw(labeled_pairs())
     D = Digraph(p, pairs)
     labels = draw(st.permutations(_label_rows(f)))
-    fmt = draw(st.sampled_from(_FORMATS))
+    fmt = draw(st.sampled_from(formats))
     if fmt in ("graph", "digraph"):
         head, read, want = ("e", parse_graph, Graph(p, pairs)) if fmt == "graph" else ("a", parse_digraph, D)
-        return read, [("p", p), *((head, u, v) for u, v in pairs)], want
+        return fmt, read, [("p", p), *((head, u, v) for u, v in pairs)], want
     if fmt == "labeling":
-        return lambda text: parse_labeling(text, p, len(pairs)), labels, f
+        return fmt, lambda text: parse_labeling(text, p, len(pairs)), labels, f
     if fmt == "combined":
         # labels anywhere, the 'p' line before the arcs, the arcs in order
         rows = [("p", p), *(("a", u, v) for u, v in pairs)]
         for row in labels:
             rows.insert(draw(st.integers(0, len(rows))), row)
-        return _labeled_digraph, rows, LabeledDigraph(D, f)
+        return fmt, _labeled_digraph, rows, LabeledDigraph(D, f)
     # every member named, so that one past the largest is out of range
     picks = draw(st.lists(st.integers(1, len(_MEMBERS)), min_size=len(pairs), max_size=len(pairs)))
     members = _MEMBERS[:max(picks, default=0)]
     rows = draw(st.permutations([("", a, m) for a, m in enumerate(picks, 1)]))
     want = ArcAssignment(tuple(_MEMBERS[m - 1] for m in picks))
-    return lambda text: _assignment(text, members, len(pairs)), rows, want
+    return fmt, lambda text: _assignment(text, members, len(pairs)), rows, want
 
 
 def _changes(rows: list[tuple]):
@@ -200,23 +205,36 @@ def _changes(rows: list[tuple]):
     yield [*rows, ("p", 1, 1)]
 
 
+def _checked(fmt: str, read, text: str):
+    """What read makes of text, the object or the ParseError: checked
+    against the per-line rules when the column reader reads fmt."""
+    return _same_as_line_rules(read, text) if fmt in _COLUMN_FORMATS else _outcome(read, text)
+
+
 _DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                          suppress_health_check=[HealthCheck.too_slow])
 
 
 @_DIFFERENTIAL
-@given(_valid_file(), st.data())
+@given(_valid_file(_COLUMN_FORMATS), st.data())
 def test_valid_files_take_the_column_reader(case, data):
-    read, rows, want = case
+    _, read, rows, want = case
     assert _same_as_line_rules(read, data.draw(_text(rows))) == want
+
+
+@DETERMINISTIC
+@given(_valid_file(["combined", "assign"]), st.data())
+def test_valid_combined_and_assign_files_read_through_noise(case, data):
+    _, read, rows, want = case
+    assert read(data.draw(_text(rows))) == want
 
 
 @_DIFFERENTIAL
 @given(_valid_file())
 def test_files_one_change_away_get_the_line_rules_outcome(case):
-    read, rows, _ = case
+    fmt, read, rows, _ = case
     for changed in _changes(rows):
-        _same_as_line_rules(read, "".join(" ".join(map(str, row)) + "\n" for row in changed))
+        _checked(fmt, read, "".join(" ".join(map(str, row)) + "\n" for row in changed))
 
 
 @_DIFFERENTIAL
@@ -232,4 +250,4 @@ def test_malformed_files_get_the_line_rules_outcome(files, fmt):
         "combined": (_labeled_digraph, re.sub(r"(?m)^e ", "a ", graph) + "\n" + labeling),
         "assign": (lambda text: _assignment(text, _MEMBERS, p + q), re.sub(r"(?m)^[ve] ", "", labeling)),
     }[fmt]
-    _same_as_line_rules(read, text)
+    _checked(fmt, read, text)
