@@ -10,15 +10,16 @@ with ``#`` and blank lines are ignored, and any other unknown line is refused;
 labelings and the CLI's files share this grammar.  An integer field is a run
 of ASCII digits 0-9, after a ``-`` if negative; the other spellings ``int()``
 takes (``+2``, ``1_0``, digits of other scripts) are refused.  A line ends at
-LF, CRLF or CR, and nowhere else.  Graph, digraph and labeling files are read
-a column at a time (``_columns``); only such a file that breaks a rule is
-read again line by line (``_records``), to name its first bad line.  The
-CLI's combined and assign files are read line by line alone.
+LF, CRLF or CR, and nowhere else.  A graph, digraph or labeling file spelled
+exactly as the formatters write it is read in one pass; any other file is
+read line by line (``_records``), which gives the same result or names the
+first bad line.  The CLI's combined and assign files are read line by line
+alone.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import index
 
@@ -254,9 +255,9 @@ def _records(text: str, heads: tuple[str, ...]) -> Iterator[tuple[int, str, tupl
     before anything is sized by it, and every other directive two.  A
     field is ASCII digits, after a '-' if negative.
 
-    Graph, digraph and labeling texts are read here only when _columns
-    refuses them, to name the first bad line; the CLI's combined and
-    assign files always.
+    Graph, digraph and labeling texts are read here only when they are
+    not spelled exactly as the formatters write them; the CLI's combined
+    and assign files always.
     """
     allowed = frozenset(heads)
     width = 3 if heads else 2  # tokens on a line other than 'p'
@@ -303,76 +304,30 @@ def _construct(records: Iterable[tuple[int, str, tuple[int, ...]]], directive: s
     return p, pairs
 
 
-def _ints(fields: Sequence[str], suspect: bool) -> list[int] | None:
-    """The integers a column of fields spells, or None when one field is
-    not ASCII digits after an optional '-'."""
-    if suspect and _respelled("".join(fields)):
-        return None
-    try:
-        return list(map(int, fields))
-    except ValueError:
-        return None
-
-
-def _columns(
-    text: str, heads: tuple[str, str]
-) -> tuple[int | None, list[str], list[int], list[int]] | None:
-    """_records read a column at a time, for a graph or digraph file
-    (heads 'p' and 'e' or 'a') or a labeling file ('v' and 'e'):
-    (p, directives, firsts, seconds), the 'p' field (None when heads
-    hold no 'p') and, in file order, the directive column and the two
-    integer field columns of the other lines.  When heads hold 'p', the
-    text must have one 'p' line, with no line of the other directive
-    before it, as _construct requires.
-
-    None when some line breaks these rules or those of _records: the
-    caller then reads the text line by line, which names the first bad
-    line.  So every valid text is read here, and only here.
-
-    Once each line is known to hold as many tokens as its directive
-    takes, the text's tokens in one list are the lines' tokens in a row,
-    and each column is a slice of it; no list is kept per line.
-    """
-    lines = _lines(text)
-    if "#" in text:
-        lines = [line for line in lines if line.lstrip()[:1] != "#"]
-        text = " ".join(lines)
-    counts = list(filter(None, map(len, map(str.split, lines))))
-    tokens = text.split()
-    suspect = _respelled(text)
-    p = None
-    if heads[0] == "p":
-        if counts.count(2) != 1 or counts.count(3) != len(counts) - 1:
-            return None
-        at = 3 * counts.index(2)
-        if tokens[at] != "p" or heads[1] in tokens[0:at:3]:
-            return None
-        count = _ints(tokens[at + 1:at + 2], suspect)
-        if count is None or not 0 <= count[0] <= _MAX_VERTICES:
-            return None
-        p = count[0]
-        del tokens[at:at + 2]
-    elif counts.count(3) != len(counts):
-        return None
-    directives = tokens[0::3]
-    # a second 'p' line of three tokens is refused here
-    if not set(directives) <= set(heads) - {"p"}:
-        return None
-    firsts, seconds = _ints(tokens[1::3], suspect), _ints(tokens[2::3], suspect)
-    if firsts is None or seconds is None:
-        return None
-    return p, directives, firsts, seconds
+def _format(p: int, pairs: Iterable[tuple[int, int]], directive: str) -> str:
+    lines = [f"p {p}"]
+    lines.extend(f"{directive} {u} {v}" for u, v in pairs)
+    return "\n".join(lines) + "\n"
 
 
 def _structure(text: str, directive: str) -> tuple[int, list]:
-    """The vertex count and endpoint pairs of a 'p' and directive file."""
-    heads = ("p", directive)
-    table = _columns(text, heads)
-    if table is not None:
-        p, _, us, vs = table
-        if not us or (0 < min(us) and max(us) <= p and 0 < min(vs) and max(vs) <= p):
-            return p, list(zip(us, vs))
-    return _construct(_records(text, heads), directive)
+    """The vertex count and endpoint pairs of a 'p' and directive file.
+    A text that _format writes back exactly from the integers its tokens
+    spell is read in one pass, as the line rules read it to those same
+    integers; any other text is read by the line rules."""
+    tokens = text.split()
+    try:
+        p = int(tokens[1])
+        us, vs = list(map(int, tokens[3::3])), list(map(int, tokens[4::3]))
+    except (ValueError, IndexError):
+        pass
+    else:
+        ends = us + vs
+        if 0 <= p <= _MAX_VERTICES and (not ends or (0 < min(ends) and max(ends) <= p)):
+            pairs = list(zip(us, vs))
+            if _format(p, pairs, directive) == text:
+                return p, pairs
+    return _construct(_records(text, ("p", directive)), directive)
 
 
 def parse_graph(text: str) -> Graph:
@@ -386,12 +341,8 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def format_graph(G: Graph) -> str:
-    lines = [f"p {G.p}"]
-    lines.extend(f"e {u} {v}" for u, v in G.edges)
-    return "\n".join(lines) + "\n"
+    return _format(G.p, G.edges, "e")
 
 
 def format_digraph(D: Digraph) -> str:
-    lines = [f"p {D.p}"]
-    lines.extend(f"a {u} {v}" for u, v in D.arcs)
-    return "\n".join(lines) + "\n"
+    return _format(D.p, D.arcs, "a")

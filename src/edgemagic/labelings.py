@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import InvalidLabelingError, ParseError
-from .graphs import Digraph, Graph, _columns, _pairs, _records, edges_match_under
+from .graphs import Digraph, Graph, _pairs, _records, edges_match_under
 
 __all__ = [
     "TotalLabeling",
@@ -179,38 +179,24 @@ def _labeling(records: Iterable[tuple[int, str, tuple[int, ...]]], p: int, q: in
     return TotalLabeling(tuple(vl[i] for i in range(1, p + 1)), tuple(el[i] for i in range(1, q + 1)))
 
 
-def _label_columns(
-    heads: Sequence[str], indices: list[int], labels: Sequence[int], p: int, q: int
-) -> TotalLabeling | None:
-    """_labeling over whole columns: the labeling the 'v' and 'e' rows
-    spell, or None when _labeling would refuse them.  The rows must be
-    'v' 1..p, then 'e' 1..q, as format_labeling writes them, once sorted
-    if they come in another order; the labels must be p+q distinct
-    integers in 1..p+q."""
-    n = p + q
-    if len(heads) != n:
-        return None
-    kinds = list(map("e".__eq__, heads))  # False for 'v', which sorts first
-    want = [False] * p + [True] * q, [*range(1, p + 1), *range(1, q + 1)]
-    if (kinds, indices) != want:
-        kinds, indices, labels = map(list, zip(*sorted(zip(kinds, indices, labels))))
-        if (kinds, indices) != want:
-            return None
-    if n and not (min(labels) == 1 and max(labels) == n and len(set(labels)) == n):
-        return None
-    return TotalLabeling(labels[:p], labels[p:])
-
-
 def parse_labeling(text: str, p: int, q: int) -> TotalLabeling:
     """Parse a labeling file for a graph with p vertices and q edges.
 
     Every vertex and edge index must be assigned exactly once and the labels
-    must form a bijection onto 1..p+q.
+    must form a bijection onto 1..p+q.  A text spelled exactly as
+    format_labeling writes a labeling is read in one pass; any other by
+    the line rules, which read that text to the same labeling.
     """
-    heads = ("v", "e")
-    table = _columns(text, heads)
-    f = None if table is None else _label_columns(*table[1:], p, q)
-    return _labeling(_records(text, heads), p, q) if f is None else f
+    n = p + q
+    try:
+        labels = list(map(int, text.split()[2::3]))
+    except ValueError:
+        labels = []
+    if len(labels) == n and (not n or (min(labels) == 1 and max(labels) == n and len(set(labels)) == n)):
+        f = TotalLabeling(labels[:p], labels[p:])
+        if format_labeling(f) == text:
+            return f
+    return _labeling(_records(text, ("v", "e")), p, q)
 
 
 def format_labeling(f: TotalLabeling) -> str:

@@ -1,5 +1,6 @@
 """parse ∘ format is the identity on every text format, combined files too;
-the column reader agrees with the per-line rules on the formats it reads."""
+formatter output is read in one pass, and every other text as the per-line
+rules read it."""
 from __future__ import annotations
 
 import re
@@ -68,18 +69,18 @@ def test_combined_labeled_digraphs_read_back_unchanged(case):
     assert _labeled_digraph(format_labeling(f) + "\n# the digraph\n" + format_digraph(D)) == want
 
 
-# -- the column reader against the per-line rules -------------------------
+# -- the one-pass reader against the per-line rules -----------------------
 #
-# The graph, digraph and labeling readers take graphs._columns first and
-# read a text line by line (graphs._records) only when _columns refuses
-# it.  With _columns switched off, a reader follows the per-line rules
-# alone: that is the reference.  A text they accept must give the same
-# object with _records switched off, so the column reader accepted it; a
-# text they refuse must give the same ParseError, text and line number,
-# with both switched on.  The CLI's combined and assign files are read by
-# the per-line rules alone: they must give their object or a ParseError.
+# The graph, digraph and labeling readers read a text in one pass when the
+# formatters write it back exactly, and line by line (graphs._records)
+# otherwise.  With the formatters they compare against switched off
+# (graphs._format and labelings.format_labeling give None), a reader
+# follows the per-line rules alone: that is the reference.  Every text
+# must give the same object, or the same ParseError, text and line number,
+# with them switched on; formatter output must be read with _records
+# switched off.  The CLI's combined and assign files are read by the
+# per-line rules alone: they must give their object or a ParseError.
 
-_MODULES = (graphs, labelings)
 # three distinct members for assign files
 _MEMBERS = [
     LabeledDigraph(Digraph(1), TotalLabeling((1,), ())),
@@ -88,15 +89,27 @@ _MEMBERS = [
 ]
 
 
-def _switched_off(name: str, stand_in):
+def _line_rules_only():
     stack = ExitStack()
-    for module in _MODULES:
-        stack.enter_context(mock.patch.object(module, name, stand_in))
+    stack.enter_context(mock.patch.object(graphs, "_format", lambda *_: None))
+    stack.enter_context(mock.patch.object(labelings, "format_labeling", lambda *_: None))
     return stack
 
 
-def _refuse_valid_text(*_):
-    raise AssertionError("the column reader refused a text the per-line rules accept")
+def _refuse_formatter_output(*_):
+    raise AssertionError("formatter output was read by the per-line rules")
+
+
+@DETERMINISTIC
+@given(labeled_pairs())
+def test_formatter_output_is_read_in_one_pass(case):
+    p, pairs, f = case
+    G, D = Graph(p, pairs), Digraph(p, pairs)
+    with mock.patch.object(graphs, "_records", _refuse_formatter_output), \
+            mock.patch.object(labelings, "_records", _refuse_formatter_output):
+        assert parse_graph(format_graph(G)) == G
+        assert parse_digraph(format_digraph(D)) == D
+        assert parse_labeling(format_labeling(f), f.p, f.q) == f
 
 
 def _outcome(read, text):
@@ -109,15 +122,14 @@ def _outcome(read, text):
 def _same_as_line_rules(read, text: str):
     """What the per-line rules make of text, after checking that the
     reader gives the same: the object, or the ParseError."""
-    with _switched_off("_columns", lambda *_: None):
+    with _line_rules_only():
         want = _outcome(read, text)
+    got = _outcome(read, text)
     if isinstance(want, ParseError):
-        got = _outcome(read, text)
         assert isinstance(got, ParseError), (text, got)
         assert (str(got), got.line) == (str(want), want.line), text
     else:
-        with _switched_off("_records", _refuse_valid_text):
-            assert read(text) == want, text
+        assert got == want, text
     return want
 
 
@@ -150,8 +162,8 @@ def _text(draw, rows: list[tuple]) -> str:
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-_COLUMN_FORMATS = ["graph", "digraph", "labeling"]
-_FORMATS = [*_COLUMN_FORMATS, "combined", "assign"]
+_ONE_PASS_FORMATS = ["graph", "digraph", "labeling"]
+_FORMATS = [*_ONE_PASS_FORMATS, "combined", "assign"]
 
 
 def _label_rows(f: TotalLabeling) -> list[tuple]:
@@ -207,8 +219,8 @@ def _changes(rows: list[tuple]):
 
 def _checked(fmt: str, read, text: str):
     """What read makes of text, the object or the ParseError: checked
-    against the per-line rules when the column reader reads fmt."""
-    return _same_as_line_rules(read, text) if fmt in _COLUMN_FORMATS else _outcome(read, text)
+    against the per-line rules when fmt may be read in one pass."""
+    return _same_as_line_rules(read, text) if fmt in _ONE_PASS_FORMATS else _outcome(read, text)
 
 
 _DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=300,
@@ -216,8 +228,8 @@ _DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_exa
 
 
 @_DIFFERENTIAL
-@given(_valid_file(_COLUMN_FORMATS), st.data())
-def test_valid_files_take_the_column_reader(case, data):
+@given(_valid_file(_ONE_PASS_FORMATS), st.data())
+def test_valid_files_get_the_line_rules_object(case, data):
     _, read, rows, want = case
     assert _same_as_line_rules(read, data.draw(_text(rows))) == want
 
