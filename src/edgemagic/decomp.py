@@ -37,7 +37,7 @@ from .graphs import (
     edges_match_under,
 )
 from .labelings import TotalLabeling, valence_of
-from .products import _fiber_map, tensor_product
+from .products import tensor_product
 from .search import DEFAULT_CAP, _search
 
 __all__ = [
@@ -192,9 +192,16 @@ def s2n_iso_map(s: S2nGraph, center: int = 1) -> dict[int, int]:
     sits) carries the originals; the remaining positions carry copy
     levels 1..n in order, skipping the center position.
     """
-    if not 1 <= center <= s.n + 1:
-        raise ValueError(f"center position must lie in 1..{s.n + 1}")
-    return _fiber_map(s.base.p, s.n, center, s.copy_index)
+    p, c = s.base.p, s.n + 1
+    if not 1 <= center <= c:
+        raise ValueError(f"center position must lie in 1..{c}")
+    iso: dict[int, int] = {}
+    for a, off in enumerate(s.offsets, 1):
+        first = c * (a - 1)
+        for i in range(1, c + 1):
+            # copy level k of a is vertex k*p + offsets[a-1]
+            iso[first + i] = a if i == center else (i if i < center else i - 1) * p + off
+    return iso
 
 
 def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool:

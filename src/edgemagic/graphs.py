@@ -43,16 +43,19 @@ __all__ = [
 ]
 
 
-def _checked_pairs(p: int, pairs: Iterable[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
+def _checked_pairs(
+    p: int, pairs: Iterable[tuple[int, int]], what: str, unordered: bool = False
+) -> tuple[tuple[int, int], ...]:
+    """The pairs as integer tuples, each endpoint checked to lie in 1..p;
+    unordered puts the smaller endpoint of each pair first."""
     if p < 0:
         raise ValueError("vertex count must be nonnegative")
     out = []
-    for pair in pairs:
-        u, v = pair
+    for u, v in pairs:
         u, v = index(u), index(v)
         if not (1 <= u <= p and 1 <= v <= p):
             raise ValueError(f"{what} ({u}, {v}) out of range for p={p}")
-        out.append((u, v))
+        out.append((v, u) if unordered and v < u else (u, v))
     return tuple(out)
 
 
@@ -69,8 +72,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", index(self.p))
-        pairs = _checked_pairs(self.p, self.edges, "edge")
-        object.__setattr__(self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in pairs))
+        object.__setattr__(self, "edges", _checked_pairs(self.p, self.edges, "edge", unordered=True))
 
     @property
     def q(self) -> int:
@@ -213,9 +215,16 @@ def edges_match_under(src: Graph | Digraph, dst: Graph, vertex_map: Mapping[int,
     """True when vertex_map is a bijection carrying src's edge multiset (arcs unordered) onto dst's."""
     if src.p != dst.p or src.q != dst.q:
         return False
-    if sorted(vertex_map) != list(range(1, src.p + 1)):
-        return False
-    if sorted(vertex_map.values()) != list(range(1, dst.p + 1)):
+    # p keys and p values that each cover 1..p make a bijection
+    full = range(1, src.p + 1)
+    try:
+        if not (
+            len(vertex_map) == src.p
+            and set(map(index, vertex_map)).issuperset(full)
+            and set(map(index, vertex_map.values())).issuperset(full)
+        ):
+            return False
+    except TypeError:  # a key or value that is not an integer
         return False
     mapped = sorted(
         [(a, b) if (a := vertex_map[u]) <= (b := vertex_map[v]) else (b, a) for u, v in _pairs(src)]

@@ -61,7 +61,8 @@ def check_total_labeling(G: Graph | Digraph, f: TotalLabeling) -> None:
             f"labeling shape ({f.p} vertices, {f.q} edges) does not match graph ({G.p}, {G.q})"
         )
     total = G.p + G.q
-    if sorted(f.vertex_labels + f.edge_labels) != list(range(1, total + 1)):
+    # p+q labels that cover 1..p+q are a bijection onto it
+    if not set(f.vertex_labels + f.edge_labels).issuperset(range(1, total + 1)):
         raise InvalidLabelingError(f"labels are not a bijection onto 1..{total}")
 
 
@@ -80,8 +81,8 @@ def valence_of(G: Graph | Digraph, f: TotalLabeling) -> int | None:
     Graphs without edges have no valence.
     """
     check_total_labeling(G, f)
-    vl, el = f.vertex_labels, f.edge_labels
-    sums = {vl[u - 1] + vl[v - 1] + el[i] for i, (u, v) in enumerate(_pairs(G))}
+    vl = (0, *f.vertex_labels)  # vl[v] is vertex v's label
+    sums = {vl[u] + vl[v] + e for (u, v), e in zip(_pairs(G), f.edge_labels)}
     return sums.pop() if len(sums) == 1 else None
 
 

@@ -34,7 +34,7 @@ labeling is verified on its product and re-verified on the crown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import Digraph, Graph, mk_crown
 from .labelings import (
@@ -346,21 +346,6 @@ def orient_cycle(m: int) -> Digraph:
     return Digraph(m, tuple((i, i % m + 1) for i in range(1, m + 1)))
 
 
-def _fiber_map(
-    p: int, n: int, center: int, copy_of: Callable[[int, int], int]
-) -> dict[int, int]:
-    """Vertex map for an outer digraph on p vertices composed with
-    (n+1)-vertex star members: product vertex (n+1)*(a-1) + i goes to a
-    when fiber position i is `center`, and otherwise to copy_of(a, j),
-    the other positions taking copies j = 1..n in order."""
-    iso: dict[int, int] = {}
-    for a in range(1, p + 1):
-        for i in range(1, n + 2):
-            src = (n + 1) * (a - 1) + i
-            iso[src] = a if i == center else copy_of(a, i if i < center else i - 1)
-    return iso
-
-
 def crown_iso_from_cycle_product(m: int, n: int, center: int) -> dict[int, int]:
     """Vertex map onto mk_crown(m, n) for the cycle-composed-with-stars
     product.
@@ -370,7 +355,12 @@ def crown_iso_from_cycle_product(m: int, n: int, center: int) -> dict[int, int]:
     position `center` carries the cycle; copy j of cycle vertex a is
     pendant j of the previous cycle vertex.
     """
-    return _fiber_map(m, n, center, lambda a, j: m + ((a - 2) % m) * n + j)
+    iso: dict[int, int] = {}
+    for a in range(1, m + 1):
+        for i in range(1, n + 2):
+            j = i if i < center else i - 1
+            iso[(n + 1) * (a - 1) + i] = a if i == center else m + ((a - 2) % m) * n + j
+    return iso
 
 
 def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> dict[int, int]:

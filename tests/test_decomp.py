@@ -217,6 +217,26 @@ def test_iso_map_rejects_a_perturbed_copy():
         s2n_iso_map(s, 3)
 
 
+def _copy_index_map(s, center):
+    """s2n_iso_map's map, each copy vertex found by S2nGraph.copy_index."""
+    c = s.n + 1
+    return {
+        c * (a - 1) + i: a if i == center else s.copy_index(a, i if i < center else i - 1)
+        for a in range(1, s.base.p + 1)
+        for i in range(1, c + 1)
+    }
+
+
+def test_iso_map_matches_the_copy_index_map():
+    for G in (P3, P4, mk_complete_bipartite(1, 3), mk_cycle(4)):
+        bip = bipartition(G)
+        for d in enumerate_2_decompositions(G, include_empty=True):
+            for n in (1, 2):
+                s = build_s2n(G, bip, d, n)
+                for r in range(1, n + 2):
+                    assert list(s2n_iso_map(s, r).items()) == list(_copy_index_map(s, r).items())
+
+
 def test_induced_labeling_hits_the_valence_formula():
     bip = bipartition(P3)
     d = Decomposition(P3, frozenset({1}), frozenset({2}))

@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemagic import (
     Bipartition,
@@ -50,6 +52,36 @@ def test_non_integer_endpoints_rejected():
             Graph(bad, ((1, 2),))
         with pytest.raises(TypeError):
             Digraph(bad, ())
+
+
+def _two_pass(p, pairs, what):
+    """The endpoint check and the smaller-endpoint-first normalisation as
+    two passes: the checked pairs as given, then in edge order."""
+    if p < 0:
+        raise ValueError("vertex count must be nonnegative")
+    out = []
+    for u, v in pairs:
+        if not (1 <= u <= p and 1 <= v <= p):
+            raise ValueError(f"{what} ({u}, {v}) out of range for p={p}")
+        out.append((u, v))
+    return tuple(out), tuple((u, v) if u <= v else (v, u) for u, v in out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(-1, 5), st.data())
+def test_one_pass_pairs_match_the_two_pass_normalisation(p, data):
+    # endpoints one beyond either end of 1..p, loops and reversed pairs
+    end = st.integers(-1, max(p, 0) + 1)
+    pairs = tuple(data.draw(st.lists(st.tuples(end, end), max_size=8)))
+    for make, what, field, which in ((Graph, "edge", "edges", 1), (Digraph, "arc", "arcs", 0)):
+        try:
+            expected = _two_pass(p, pairs, what)[which]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                make(p, pairs)
+            assert str(got.value) == str(exc)
+        else:
+            assert getattr(make(p, pairs), field) == expected
 
 
 def test_degree_counts_loops_twice():
@@ -151,6 +183,14 @@ def test_edges_match_under_requires_bijection():
     assert not edges_match_under(G, G, {1: 1, 2: 1, 3: 3, 4: 4})
     assert not edges_match_under(G, G, {1: 1, 2: 2, 3: 3})
     assert not edges_match_under(G, Graph(5, G.edges), {v: v for v in range(1, 5)})
+
+
+def test_edges_match_under_refuses_non_integer_maps():
+    G = Graph(2, ((1, 2),))
+    for vertex_map in ({1: 1, "a": 2}, {1: 1, 2: "b"}, {1: 1.0, 2: 2}, {1.0: 1, 2: 2}):
+        assert not edges_match_under(G, G, vertex_map)
+    # True reads as 1, as it does in Graph
+    assert edges_match_under(G, G, {True: 2, 2: True})
 
 
 def test_edges_match_under_counts_multiplicities():

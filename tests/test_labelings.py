@@ -55,6 +55,38 @@ def test_check_total_labeling_accepts_bijections_only():
         check_total_labeling(C4, TotalLabeling((1, 6, 2, 9), (5, 4, 7, 8)))
 
 
+def _sorted_reference(G, f):
+    """The refusal message of a bijection check that sorts the labels, or
+    None when it accepts."""
+    if f.p != G.p or f.q != G.q:
+        return f"labeling shape ({f.p} vertices, {f.q} edges) does not match graph ({G.p}, {G.q})"
+    total = G.p + G.q
+    if sorted(f.vertex_labels + f.edge_labels) != list(range(1, total + 1)):
+        return f"labels are not a bijection onto 1..{total}"
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_check_total_labeling_refuses_what_sorting_refuses(data):
+    p = data.draw(st.integers(0, 4))
+    q = data.draw(st.integers(0, 4 if p else 0))  # p = q = 0 included
+    G = Graph(p, ((1, 1),) * q)
+    n = p + q
+    # repeats, 0, negatives and labels above p+q, beside true bijections
+    label = st.integers(-2, n + 2)
+    labels = data.draw(st.one_of(st.permutations(range(1, n + 1)), st.lists(label, min_size=n, max_size=n)))
+    cut = data.draw(st.sampled_from((p, p - 1, p + 1)))  # sometimes the wrong shape
+    f = TotalLabeling(tuple(labels[: max(cut, 0)]), tuple(labels[max(cut, 0) :]))
+    expected = _sorted_reference(G, f)
+    if expected is None:
+        check_total_labeling(G, f)
+    else:
+        with pytest.raises(InvalidLabelingError) as got:
+            check_total_labeling(G, f)
+        assert str(got.value) == expected
+
+
 def test_check_vertex_labeling():
     check_vertex_labeling(C4, (2, 1, 4, 3))
     with pytest.raises(InvalidLabelingError):
@@ -135,6 +167,14 @@ def test_transport_rejects_non_edge_preserving_maps():
     ):
         with pytest.raises(ValueError):
             transport(G, ALPHA, vertex_map, dst)
+
+
+def test_transport_refuses_non_integer_maps():
+    G = Graph(2, ((1, 2),))
+    f = TotalLabeling((1, 2), (3,))
+    for vertex_map in ({1: 1, "a": 2}, {1: 1, 2: "b"}, {1: 1.0, 2: 2}):
+        with pytest.raises(ValueError, match="does not carry"):
+            transport(G, f, vertex_map, G)
 
 
 def test_transport_refuses_parallel_pairs():
