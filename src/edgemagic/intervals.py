@@ -86,7 +86,12 @@ def trivial_valence_bounds(G: Graph) -> tuple[int, int]:
     (search._search) applies them where they apply: it searches no
     valence below the lower one less 1 for a loop and, for edge magic
     labelings, less 1 per isolated vertex, and the lower one less 1 for a
-    loop bounds super edge magic valences too.
+    loop bounds super edge magic valences too.  A simple graph without
+    isolated vertices or triangles that is not a star reaches neither
+    kind's lower bound, so there the search starts at p+q+4: label 1
+    lies in the triples of p+q and p+q-1, so it sits on a vertex u, and
+    the labels p+q, p+q-1, ... then force every edge to meet u (the
+    argument is in search's "Extreme labels").
     """
     if G.q == 0:
         raise ValueError("valence bounds need at least one edge")

@@ -30,13 +30,42 @@ isolated vertices that is the floor N + 3 of
 intervals.trivial_valence_bounds.  A super edge magic labeling of
 valence k gives the q edges the sums f(u) + f(v) = k - p - q, ...,
 k - p - 1; a non-loop edge sum is at least 1 + 2 and a loop sum at least
-2, so k >= N + 3 - l.  Each lower-half valence below its floor is a miss
-without a search (the upper half, the duals of the lower hits, needs no
-test of its own), and the search is planned only when the first valence
-that needs one arrives.  The super edge magic floor passes the middle
-(4p+q+3)/2 of the window when q > 2p - 3 + 2l, so such a graph, K3,5
-among them, builds no plan: the bound q <= 2p - 3 of Enomoto, Llado,
-Nakamigawa and Ringel (SUT J. Math. 1998) for loopless graphs.
+2, so k >= N + 3 - l.
+
+A simple graph without isolated vertices or triangles reaches N + 3 only
+when it is a star, that is when one vertex u meets every edge.  Let
+k = N + 3; such a graph that is not a star has two edges without a
+common end, so N >= 6.  Every label lies in some edge triple.  The
+triple of N is {N, 1, 2} and that of N - 1 is {N - 1, 1, 3}, so label 1
+lies in two triples and is a vertex label, say of u.  For 2j < N - 2 the
+triple of N - j is {N - j, 1, j + 2}, an edge at u, by induction on j:
+otherwise its other two labels a < b, a >= 2, sum to j + 3, so both lie
+among 2, ..., j + 1, in the triples of edges at u; an edge label lies in
+one triple only, so both are vertex labels, of two neighbours of u, and
+the edge labeled N - j joins them in a triangle.  Those triples hold
+every label but 1 and, for even N, m = (N + 2)/2, whose own triple
+cannot hold 1 (it would be {1, m, m}).  So every edge label but m lies
+on an edge at u, and every vertex label but 1 and m on a neighbour of u.
+A vertex labeled m has no edge: its edge's label would lie on an edge at
+u, which would put m in a triple at u.  An edge labeled m joins two
+vertices labeled neither 1 nor m, two neighbours of u: a triangle.
+Hence every edge meets u.  A super edge magic labeling is an edge magic
+one, so for such a graph the floor of both kinds is N + 4.
+
+Each lower-half valence below its floor is a miss without a search (the
+upper half, the duals of the lower hits, needs no test of its own), and
+the search is planned only when the first valence that needs one
+arrives.  The floors differ from N + 3 only by the terms above, so they
+are read only when the window starts at N + 3 or below, and the triangle
+test, one neighbour-set intersection per edge, runs last, after the
+loop, isolated-vertex and star tests.  The super edge magic floor passes
+the middle (4p+q+3)/2 of the window when q > 2p - 3 + 2l, so such a
+graph, K3,5 among them, builds no plan: the bound q <= 2p - 3 of
+Enomoto, Llado, Nakamigawa and Ringel (SUT J. Math. 1998) for loopless
+graphs.  Where the floor is N + 4 it passes the middle already when
+q > 2p - 5, so K_{m,n} with m, n >= 2, where q - (2p - 5) is
+(m - 2)(n - 2) + 1, builds no plan either: K_{m,n} is super edge magic
+only when min(m, n) = 1.
 
 Remainder.  Each label 1..p+q is used once, so the labels sum to
 T = (p+q)(p+q+1)/2, and summing the edge equation over all q edges gives
@@ -536,9 +565,24 @@ def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:
 def _valence_floor(G: Graph, kind: str) -> int:
     """The least valence the extreme labels allow: p+q+3 (the floor of
     intervals.trivial_valence_bounds) less 1 when G has a loop and, for
-    edge magic labelings, less the number of isolated vertices."""
-    floor = trivial_valence_bounds(G)[0] - any(u == v for u, v in G.edges)
-    return floor if kind == "sem" else floor - G.degrees().count(0)
+    edge magic labelings, less the number of isolated vertices; p+q+4,
+    for both kinds, when G is simple, triangle-free and not a star and
+    has no isolated vertex (the argument is under "Extreme labels" in
+    the module docstring).  A star here is a graph with a vertex that
+    meets every edge."""
+    deg = G.degrees()
+    loop = any(u == v for u, v in G.edges)
+    floor = trivial_valence_bounds(G)[0] - loop
+    isolated = deg.count(0)
+    # loopless, so a vertex of degree q meets every edge: a star
+    if not (loop or isolated) and max(deg) < G.q and G.is_simple():
+        nbrs: list[set[int]] = [set() for _ in range(G.p + 1)]
+        for u, v in G.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        if all(nbrs[u].isdisjoint(nbrs[v]) for u, v in G.edges):
+            return floor + 1
+    return floor if kind == "sem" else floor - isolated
 
 
 def _search(
@@ -565,10 +609,11 @@ def _search(
     dual = _sem_dual if kind == "sem" else complement
     # exactly 3(p+q+1) for EM and 4p+q+3 for SEM
     mirror = int(interval.raw_min + interval.raw_max)
-    # the loop and isolated-vertex terms only lower p+q+3, so a window
-    # that starts at p+q+3 or above need not read them
+    # the floor differs from p+q+3 by at most the loop and isolated-vertex
+    # terms below it and the triangle-free term above it, so a window that
+    # starts above p+q+3 need not read it
     floor = trivial_valence_bounds(G)[0]
-    if interval.lo < floor:
+    if interval.lo <= floor:
         floor = _valence_floor(G, kind)
     find: Callable[[int], TotalLabeling | None] | None = None
 

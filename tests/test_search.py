@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
 import re
 import sys
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -175,23 +177,49 @@ def test_known_witnesses_are_rechecked_like_found_ones():
             list(_search(G, "em", 16, known)[1])
 
 
+def _path(p: int) -> Graph:
+    return Graph(p, tuple((v, v + 1) for v in range(1, p)))
+
+
 def _floor_graphs() -> dict[str, Graph]:
-    """WIDE_CORPUS and 100 seeded graphs with p <= 4 and p+q <= 9, no edge
-    repeated, loops and isolated vertices among them."""
+    """WIDE_CORPUS, 100 seeded graphs with p <= 4 and p+q <= 9, no edge
+    repeated, loops and isolated vertices among them, and triangle-free
+    graphs: paths, trees, C7, 2K2 and P3+K2."""
     rng = random.Random(1)
     graphs = dict(WIDE_CORPUS)
     for n in range(100):
         p = rng.randint(1, 4)
         slots = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
         graphs[f"sweep{n}"] = Graph(p, tuple(rng.sample(slots, rng.randint(1, min(len(slots), 9 - p)))))
+    graphs.update({f"p{p}": _path(p) for p in range(2, 7)})
+    graphs.update({
+        "double-star22": Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6))),
+        "spider222": SPIDER222,
+        "c7": mk_cycle(7),
+        "2k2": Graph(4, ((1, 2), (3, 4))),
+        "p3+k2": Graph(5, ((1, 2), (2, 3), (4, 5))),
+    })
     return graphs
+
+
+def _shape(G: Graph) -> str:
+    """'star' when one vertex meets every edge, else 'triangle' when three
+    vertices are pairwise joined, else 'open'."""
+    if any(all(v in e for e in G.edges) for v in range(1, G.p + 1)):
+        return "star"
+    joined = {frozenset(e) for e in G.edges}
+    for trio in combinations(range(1, G.p + 1), 3):
+        if all(frozenset(e) in joined for e in combinations(trio, 2)):
+            return "triangle"
+    return "open"
 
 
 def _every_valence(G: Graph, kind: str) -> list[int]:
     """naive_valences where it enumerates quickly: every super edge magic
-    case and the edge magic ones with p+q <= 9.  Beyond that (C5, C6,
-    K2,3, K3,3, K1,4 with a loop, crown(3,1)) every valence of the window,
-    each searched by the plan with no floor in front of it."""
+    case and the edge magic ones with p+q <= 9.  Beyond that (C5 to C7,
+    K2,3, K3,3, K1,4 with a loop, crown(3,1), P6, the double star and the
+    spider) every valence of the window, each searched by the plan with
+    no floor in front of it."""
     if kind == "sem" or G.p + G.q <= 9:
         return naive_valences(G, kind)
     find = _witness_finder(G, "em", _mirror(G, "em"))
@@ -201,16 +229,26 @@ def _every_valence(G: Graph, kind: str) -> list[int]:
 def test_extreme_label_floors_are_sound_and_tight():
     # no valence lies below the floor or above its mirror, and each kind
     # attains its floor with and without a loop and with and without an
-    # isolated vertex, so a floor set too low by any term fails too
+    # isolated vertex, so a floor set too low by any term fails too.
+    # Without loops and isolated vertices a star (K1,3) and a graph with a
+    # triangle (C3) attain p+q+3 and a triangle-free graph that is not a
+    # star attains p+q+4 (P4, 11), so dropping the triangle-free term, or
+    # applying it to stars or to graphs with a triangle, fails as well
     tight = set()
     for name, G in _floor_graphs().items():
         loop, isolated = any(u == v for u, v in G.edges), 0 in G.degrees()
+        shape = None if loop or isolated else _shape(G)
         for kind in ("em", "sem"):
             floor, valences = _valence_floor(G, kind), _every_valence(G, kind)
             assert all(floor <= k <= _mirror(G, kind) - floor for k in valences), (name, kind)
             if valences and valences[0] == floor:
-                tight.add((kind, loop, isolated))
-    assert tight == set(product(("em", "sem"), (False, True), (False, True)))
+                tight.add((kind, loop, isolated, shape))
+    want = {(kind, loop, isolated, None) for kind, loop, isolated in
+            product(("em", "sem"), (False, True), (False, True)) if loop or isolated}
+    want |= set(product(("em", "sem"), (False,), (False,), ("star", "triangle", "open")))
+    assert tight == want
+    P4 = _path(4)
+    assert (_valence_floor(P4, "em"), em_spectrum(P4).achieved[0]) == (11, 11)
 
 
 def test_screened_valences_build_no_plan_and_refusals_keep_their_order(monkeypatch):
@@ -236,6 +274,92 @@ def test_screened_valences_build_no_plan_and_refusals_keep_their_order(monkeypat
     n = sys.getrecursionlimit() + 50
     edges = [(v, v + d) for d in (1, 2) for v in range(1, n + 1 - d)] + [(1, n)]
     assert first_sem_labeling(Graph(n, tuple(edges)), cap=4 * n) is None
+
+
+def test_triangle_free_floor_skips_p_plus_q_plus_3_and_plans_no_sem_complete_bipartite(monkeypatch):
+    # the search is asked only for valences from p+q+4 on where G is
+    # simple, triangle-free and not a star and has no isolated vertex
+    asked = []
+
+    def recording(G, kind, mirror):
+        find = _witness_finder(G, kind, mirror)
+
+        def ask(k):
+            asked.append(k)
+            return find(k)
+
+        return ask
+
+    monkeypatch.setattr("edgemagic.search._witness_finder", recording)
+    # K2,5 with a pendant: p+q = 19, its window starts at 21, and the
+    # first hit, 23, is the one valence searched
+    k25pendant = Graph(8, mk_complete_bipartite(2, 5).edges + ((3, 8),))
+    assert em_interval(k25pendant).lo == 21
+    assert first_em_labeling(k25pendant, cap=26)[0] == 23
+    assert asked == [23]
+    # K3,3: the window starts at 18 = p+q+3, which is not searched
+    asked.clear()
+    assert em_spectrum(mk_complete_bipartite(3, 3)).achieved == (20, 22, 26, 28)
+    assert asked == list(range(19, 25))
+
+    # K_m,n with 2 <= m <= n has q - (2p - 5) = (m-2)(n-2) + 1 > 0, so its
+    # super edge magic floor p+q+4 passes the middle of the window: no
+    # plan and no labeling, K_m,n being super edge magic only when
+    # min(m, n) = 1
+    def unplanned(G, kind, mirror):
+        raise AssertionError(f"planned a {kind} search")
+
+    monkeypatch.setattr("edgemagic.search._witness_finder", unplanned)
+    for m in range(2, 5):
+        for n in range(m, 10 - m):
+            G = mk_complete_bipartite(m, n)
+            assert first_sem_labeling(G, cap=G.p + G.q) is None, (m, n)
+            rep = sem_spectrum(G, cap=G.p + G.q)
+            assert (rep.achieved, rep.witnesses) == ((), {}), (m, n)
+
+
+def _bench_checker():
+    """bench/checker.py, the benchmark's checker, which shares no code
+    with edgemagic."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_checker", Path(__file__).resolve().parents[1] / "bench" / "checker.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_triangle_free_spectra_match_the_bench_checker_beyond_naive_size():
+    # seeded bipartite graphs with 12 <= p+q <= 18, with and without
+    # isolated vertices, and C7 and C9, against the checker's own search,
+    # which has no floor and none of the search's cuts
+    exact_spectrum = _bench_checker().exact_spectrum
+    rng = random.Random(1)
+    graphs = {"c7": mk_cycle(7), "c9": mk_cycle(9)}
+    while len(graphs) < 12:
+        s, t = rng.randint(2, 4), rng.randint(2, 5)
+        slots = [(u, s + v) for u in range(1, s + 1) for v in range(1, t + 1)]
+        lo, hi = max(1, 12 - s - t), min(len(slots), 18 - s - t)
+        if lo <= hi:
+            q = rng.randint(lo, hi)
+            graphs[f"bip({s},{t},{q})#{len(graphs)}"] = Graph(s + t, tuple(sorted(rng.sample(slots, q))))
+    raised = 0
+    for name, G in graphs.items():
+        assert 12 <= G.p + G.q <= 18 and _shape(G) != "triangle", name
+        for kind, spectrum in (("em", em_spectrum), ("sem", sem_spectrum)):
+            want = exact_spectrum(G.p, G.edges, kind)
+            assert list(spectrum(G, cap=G.p + G.q).achieved) == want, (name, kind)
+        raised += _valence_floor(G, "em") == G.p + G.q + 4 and em_interval(G).lo <= G.p + G.q + 3
+    # the p+q+4 floor cuts into the window of three of them
+    assert raised >= 3
+
+
+def test_cycles_are_super_edge_magic_exactly_when_odd():
+    # C_n is 2-regular, so its super edge magic window is the one value
+    # (5n+3)/2, an integer only for odd n
+    for n in range(3, 14):
+        rep = sem_spectrum(mk_cycle(n), cap=2 * n)
+        assert rep.achieved == (((5 * n + 3) // 2,) if n % 2 else ()), n
 
 
 def test_first_labeling_returns_smallest_valence():
