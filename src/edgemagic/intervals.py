@@ -82,16 +82,9 @@ def trivial_valence_bounds(G: Graph) -> tuple[int, int]:
     They hold only when every label sits in some triple of three
     distinct positions, so loops (which repeat a vertex) can beat them by
     one and isolated vertices (which join no triple) by one each.  The
-    function returns the formula values regardless; the spectrum search
-    (search._search) applies them where they apply: it searches no
-    valence below the lower one less 1 for a loop and, for edge magic
-    labelings, less 1 per isolated vertex, and the lower one less 1 for a
-    loop bounds super edge magic valences too.  A simple graph without
-    isolated vertices or triangles that is not a star reaches neither
-    kind's lower bound, so there the search starts at p+q+4: label 1
-    lies in the triples of p+q and p+q-1, so it sits on a vertex u, and
-    the labels p+q, p+q-1, ... then force every edge to meet u (the
-    argument is in search's "Extreme labels").
+    function returns the formula values regardless; the floors the
+    search applies, for both kinds, are under "Extreme labels" in the
+    search module's docstring.
     """
     if G.q == 0:
         raise ValueError("valence bounds need at least one edge")

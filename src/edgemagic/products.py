@@ -407,25 +407,23 @@ def _realize(ind: InducedProductLabeling, target: Graph, route: TotalLabeling) -
 
 
 def star_product_valences(
-    m: int, n: int, cycle_labelings: Sequence[TotalLabeling], all_centers: bool = False
+    m: int, n: int, cycle_labelings: Sequence[TotalLabeling]
 ) -> dict[int, TotalLabeling]:
     """Edge magic labelings of mk_crown(m, n), one per reachable valence,
-    built through both product routes.
+    built through both product routes at every center label r in 1..n+1.
 
     Every entry of cycle_labelings must be an edge magic labeling of the
     length-m cycle; valences repeat across routes, and the first labeling
-    found for a valence wins.  With the cycle as the outer factor and
-    center label r the valence is (n+1)*(v-2) + r + 1, r running over
-    1..n+1.  With the star as the outer factor it is 2*m*(n+r-1) + v;
-    that route uses only the extreme centers r in {1, n+1}, which is
-    where it adds valences the first route cannot reach, unless
-    all_centers is set.
+    found for a valence wins.  With the cycle as the outer factor the
+    valence is (n+1)*(v-2) + r + 1; with the star as the outer factor it
+    is 2*m*(n+r-1) + v.  Each candidate's valence is looked up in the
+    table before anything is built, so no valence is built twice.
 
     Neither route renumbers its factors: every star_loop_labeling(n, r)
     has the same digraph, and each cycle labeling is rotated to put its
     least vertex label on vertex 1.  So each route's product and crown
-    map are built and matched once per call, and each (labeling, center)
-    pair is verified on its product and again on the crown.
+    map are built and matched once per call, and each labeling kept is
+    verified on its product and again on the crown.
     """
     crown = mk_crown(m, n)
     cyc = orient_cycle(m)
@@ -433,7 +431,6 @@ def star_product_valences(
     # every star_loop_labeling(n, r) has this digraph: center 1, loop first
     star = stars[1].digraph
     star_members = [(sem_factor_key(S), ((S, tuple(range(1, n + 2))),) * m) for S in stars.values()]
-    star_centers = range(1, n + 2) if all_centers else (1, n + 1)
     cycle_product = tensor_product(cyc, (star,) * m)
     cycle_route = _route(cycle_product, crown, crown_iso_from_cycle_product(m, n, 1))
     star_product = tensor_product(star, (cyc,) * (n + 1))
@@ -443,39 +440,35 @@ def star_product_valences(
         v = valence_of(cyc, L)
         if v is None:
             raise ValueError("cycle labeling is not edge magic")
-        for key, members in star_members:
-            ind = _sem_induced(cycle_product, L, v, key, members)
-            found.setdefault(ind.valence, _realize(ind, crown, cycle_route))
+        for r, (key, members) in enumerate(star_members, start=1):
+            if (n + 1) * (v - 2) + r + 1 not in found:
+                ind = _sem_induced(cycle_product, L, v, key, members)
+                found[ind.valence] = _realize(ind, crown, cycle_route)
         vl, el = L.vertex_labels, L.edge_labels
         s = vl.index(min(vl))
         rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
         key, members = em_factor_key(rotated), ((rotated, tuple(range(1, m + 1))),) * (n + 1)
-        for r in star_centers:
-            ind = _em_induced(star_product, star, stars[r].labeling.vertex_labels, key, members)
-            found.setdefault(ind.valence, _realize(ind, crown, star_route))
+        for r, S in stars.items():
+            if 2 * m * (n + r - 1) + v not in found:
+                ind = _em_induced(star_product, star, S.labeling.vertex_labels, key, members)
+                found[ind.valence] = _realize(ind, crown, star_route)
     return found
 
 
-def predicted_valences(
-    G: Graph, n: int, achieved: Sequence[int], all_centers: bool = False
-) -> set[int]:
+def predicted_valences(G: Graph, n: int, achieved: Sequence[int]) -> set[int]:
     """Valences the two product rules promise for G composed with stars
     with loops on n leaves, given the achieved edge magic valences of G.
 
-    The cycle-outer rule contributes (n+1)*(v-2)+r+1 for every achieved v
-    and every center r in 1..n+1; the star-outer rule contributes
-    (p+q)*(n+r-1)+v, by default only for the extreme centers r in
-    {1, n+1} (all_centers widens it).  No labelings are built here; use
-    the induced labeling functions for witnesses.
+    For every achieved v and every center r in 1..n+1 the cycle-outer
+    rule contributes (n+1)*(v-2)+r+1 and the star-outer rule
+    (p+q)*(n+r-1)+v.  No labelings are built here; use the induced
+    labeling functions for witnesses.
     """
     total = G.p + G.q
-    star_centers = range(1, n + 2) if all_centers else (1, n + 1)
     out: set[int] = set()
     for v in achieved:
         for r in range(1, n + 2):
-            out.add((n + 1) * (v - 2) + r + 1)
-        for r in star_centers:
-            out.add(total * (n + r - 1) + v)
+            out.update(((n + 1) * (v - 2) + r + 1, total * (n + r - 1) + v))
     return out
 
 

@@ -259,7 +259,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .intervals import IntervalReport, em_interval, sem_interval, trivial_valence_bounds
+from .intervals import IntervalReport, em_interval, sem_interval
 from .labelings import TotalLabeling, complement, is_super_edge_magic, valence_of
 
 __all__ = [
@@ -563,16 +563,15 @@ def _sem_dual(G: Graph, f: TotalLabeling) -> TotalLabeling:
 
 
 def _valence_floor(G: Graph, kind: str) -> int:
-    """The least valence the extreme labels allow: p+q+3 (the floor of
-    intervals.trivial_valence_bounds) less 1 when G has a loop and, for
-    edge magic labelings, less the number of isolated vertices; p+q+4,
-    for both kinds, when G is simple, triangle-free and not a star and
-    has no isolated vertex (the argument is under "Extreme labels" in
-    the module docstring).  A star here is a graph with a vertex that
-    meets every edge."""
+    """The least valence the extreme labels allow: p+q+3 less 1 when G
+    has a loop and, for edge magic labelings, less the number of
+    isolated vertices; p+q+4, for both kinds, when G is simple,
+    triangle-free and not a star and has no isolated vertex (the
+    argument is under "Extreme labels" in the module docstring).  A star
+    here is a graph with a vertex that meets every edge."""
     deg = G.degrees()
     loop = any(u == v for u, v in G.edges)
-    floor = trivial_valence_bounds(G)[0] - loop
+    floor = G.p + G.q + 3 - loop
     isolated = deg.count(0)
     # loopless, so a vertex of degree q meets every edge: a star
     if not (loop or isolated) and max(deg) < G.q and G.is_simple():
@@ -612,9 +611,7 @@ def _search(
     # the floor differs from p+q+3 by at most the loop and isolated-vertex
     # terms below it and the triangle-free term above it, so a window that
     # starts above p+q+3 need not read it
-    floor = trivial_valence_bounds(G)[0]
-    if interval.lo <= floor:
-        floor = _valence_floor(G, kind)
+    floor = _valence_floor(G, kind) if interval.lo <= G.p + G.q + 3 else interval.lo
     find: Callable[[int], TotalLabeling | None] | None = None
 
     def verified(k: int, w: TotalLabeling) -> tuple[int, TotalLabeling]:

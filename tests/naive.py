@@ -124,3 +124,47 @@ def naive_kronecker(D_p: int, D_arcs: list[tuple[int, int]],
         for i, j in M_arcs:
             out.add((M_p * (a - 1) + i, M_p * (b - 1) + j))
     return out
+
+
+def _center_code(p: int, edges) -> str:
+    """AHU string of the tree rooted at its center; for a tree with two
+    centers, the lesser of the two strings.  Equal strings mean
+    isomorphic trees."""
+    adj: list[list[int]] = [[] for _ in range(p + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    layer, left = [v for v in range(1, p + 1) if deg[v] <= 1], p
+    # peel the leaves off, layer by layer, down to one or two centers
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, 0) for c in layer)
+
+
+def all_trees(p_max: int) -> dict[int, list[Graph]]:
+    """Every tree on p = 1..p_max vertices, one per isomorphism class:
+    each tree on p-1 vertices grows a leaf p at each of its vertices, and
+    a grown tree is kept when its center code is new."""
+    out = {1: [Graph(1, ())]}
+    for p in range(2, p_max + 1):
+        seen: dict[str, Graph] = {}
+        for T in out[p - 1]:
+            for v in range(1, p):
+                edges = (*T.edges, (v, p))
+                seen.setdefault(_center_code(p, edges), Graph(p, edges))
+        out[p] = list(seen.values())
+    return out
+

@@ -1,6 +1,9 @@
 """The package root re-exports every module's public names exactly once."""
 from __future__ import annotations
 
+import hashlib
+import inspect
+
 import edgemagic
 from edgemagic import decomp, errors, graphs, intervals, labelings, products, search
 
@@ -42,3 +45,38 @@ PUBLIC_NAMES = [
 def test_public_names_are_frozen():
     assert len(PUBLIC_NAMES) == 68
     assert sorted(edgemagic.__all__) == PUBLIC_NAMES
+
+
+def _signatures() -> str:
+    """One line per public callable, classes included: its parameters'
+    names, kinds and default reprs, without annotations, so that every
+    supported Python prints the same; a class whose constructor has no
+    Python signature (an exception that keeps Exception's) reads None."""
+    lines = []
+    for name in sorted(edgemagic.__all__):
+        obj = getattr(edgemagic, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:
+            lines.append(f"{name} None")
+            continue
+        shown = [
+            (p.name, p.kind.name, None if p.default is p.empty else repr(p.default))
+            for p in params
+        ]
+        lines.append(f"{name} {shown}")
+    return "\n".join(lines)
+
+
+# sha256 of _signatures(): a new, removed or renamed parameter, a changed
+# kind or a changed default shows here.
+PUBLIC_SIGNATURES_SHA256 = "23c9d7518341393a5b9b6b119e845363b52a53e9572a635eabaf4aed613b4e3c"
+
+
+def test_public_signatures_are_frozen():
+    current = _signatures()
+    digest = hashlib.sha256(current.encode()).hexdigest()
+    assert digest == PUBLIC_SIGNATURES_SHA256, f"public signatures now read:\n{current}"
+

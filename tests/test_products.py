@@ -395,20 +395,19 @@ def test_crown_table_composes_twice_per_call(monkeypatch):
         witnesses = tuple(em_spectrum(mk_cycle(m)).witnesses.values())
         star = star_loop_labeling(n, 1).digraph
         for labelings in ((), witnesses[:1], witnesses):
-            for all_centers in (False, True):
-                for calls in (outers, made, matched):
-                    calls.clear()
-                star_product_valences(m, n, labelings, all_centers=all_centers)
-                # one product and one crown match per route, whatever the
-                # labelings and centers
-                assert outers == [orient_cycle(m), star]
-                assert matched == made
+            for calls in (outers, made, matched):
+                calls.clear()
+            star_product_valences(m, n, labelings)
+            # one product and one crown match per route, whatever the
+            # labelings and centers
+            assert outers == [orient_cycle(m), star]
+            assert matched == made
 
 
-def _crown_table_oracle(m, n, labelings, all_centers):
+def _crown_table_oracle(m, n, labelings):
     """The crown table built through the public functions: each labeling
-    induced on a product of normalized factors, then transported along
-    the crown map that the normalization calls for."""
+    induced on a product of normalized factors at every star center, then
+    transported along the crown map that the normalization calls for."""
     crown, cyc = mk_crown(m, n), orient_cycle(m)
     found = {}
     for L in labelings:
@@ -418,7 +417,7 @@ def _crown_table_oracle(m, n, labelings, all_centers):
             ind = induced_labeling_from_sem_factors(member, star)
             iso = crown_iso_from_cycle_product(m, n, r)
             found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
-        for r in range(1, n + 2) if all_centers else (1, n + 1):
+        for r in range(1, n + 2):
             ind = induced_labeling_from_em_factors(
                 star_loop_labeling(n, r), ArcAssignment.constant(member, n + 1)
             )
@@ -437,24 +436,20 @@ def _dihedral_images(L: TotalLabeling):
 
 
 def test_crown_tables_match_the_public_function_oracle():
-    # each image alone with every star center, so no labeling's entries
-    # are shadowed (for one labeling the table without all_centers is a
-    # part of this one), then the witness lists, which fix which labeling
-    # wins, with all_centers off and on
+    # each image alone, so no labeling's entries are shadowed, then the
+    # witness lists, which fix which labeling wins
     tables = 0
     for m in range(3, 8):
         witnesses = list(em_spectrum(mk_cycle(m)).witnesses.values())
         images = [image for w in witnesses for image in _dihedral_images(w)]
-        cases = [([L], True) for L in images]
-        cases += [(witnesses, False), (witnesses, True)]
         for n in (1, 2, 3):
-            for labelings, all_centers in cases:
-                table = star_product_valences(m, n, labelings, all_centers=all_centers)
-                expected = _crown_table_oracle(m, n, labelings, all_centers)
+            for labelings in [[L] for L in images] + [witnesses]:
+                table = star_product_valences(m, n, labelings)
+                expected = _crown_table_oracle(m, n, labelings)
                 assert list(table.items()) == list(expected.items())
                 tables += 1
-    # per n: 280 images of the 26 witnesses, and 10 witness lists
-    assert tables == 3 * (280 + 10)
+    # per n: 280 images of the 26 witnesses, and 5 witness lists
+    assert tables == 3 * (280 + 5)
 
 
 def test_crown_table_refuses_bad_cycle_labelings():
@@ -469,10 +464,23 @@ def test_crown_table_refuses_bad_cycle_labelings():
         star_product_valences(4, 2, (TotalLabeling((1, 2, 3), (4, 5, 6)), skew))
 
 
-def test_all_centers_flag_changes_nothing_for_the_crown_table():
-    default = star_product_valences(4, 2, CYCLE4_EM_LABELINGS)
-    widened = star_product_valences(4, 2, CYCLE4_EM_LABELINGS, all_centers=True)
-    assert set(default) == set(widened)
+def _extreme_center_valences(m, n, achieved):
+    """The crown valences with the star route cut to r in {1, n+1}."""
+    cycle = {(n + 1) * (v - 2) + r + 1 for v in achieved for r in range(1, n + 2)}
+    return cycle | {2 * m * (n + r - 1) + v for v in achieved for r in (1, n + 1)}
+
+
+def test_interior_star_centers_add_nothing_to_the_c4_crown_table():
+    table = star_product_valences(4, 2, CYCLE4_EM_LABELINGS)
+    assert set(table) == _extreme_center_valences(4, 2, (12, 13, 14, 15)) == set(range(28, 48))
+
+
+def test_interior_star_centers_reach_crown_5_4_valences():
+    crown = mk_crown(5, 4)
+    table = star_product_valences(5, 4, list(em_spectrum(mk_cycle(5)).witnesses.values()))
+    for k in (67, 69, 84, 86):
+        # 2*5*(4+r-1) + v at r = 2 and 3, with v in {14, 16}
+        assert valence_of(crown, table[k]) == k
 
 
 def test_predicted_valences_match_the_constructed_table():
@@ -480,8 +488,33 @@ def test_predicted_valences_match_the_constructed_table():
     predicted = predicted_valences(c4, 2, (12, 13, 14, 15))
     assert predicted == set(range(28, 48))
     assert predicted == set(star_product_valences(4, 2, CYCLE4_EM_LABELINGS))
-    widened = predicted_valences(c4, 2, (12, 13, 14, 15), all_centers=True)
-    assert widened >= predicted
+    widened = 0
+    for m in range(3, 8):
+        spectrum = em_spectrum(mk_cycle(m))
+        witnesses, achieved = list(spectrum.witnesses.values()), list(spectrum.witnesses)
+        for n in range(1, 6):
+            table = set(star_product_valences(m, n, witnesses))
+            assert table == predicted_valences(mk_cycle(m), n, achieved)
+            widened += table != _extreme_center_valences(m, n, achieved)
+    # the interior star centers add valences to crown(4,5), (5,3), (5,4),
+    # (5,5), (6,5) and (7,5)
+    assert widened == 6
+
+
+def test_crown_table_builds_one_labeling_per_entry(monkeypatch):
+    built, realize = [], products._realize
+
+    def counted(ind, target, route):
+        built.append(ind.valence)
+        return realize(ind, target, route)
+
+    monkeypatch.setattr(products, "_realize", counted)
+    for m in (3, 4, 5, 6):
+        witnesses = list(em_spectrum(mk_cycle(m)).witnesses.values())
+        for n in (1, 2, 3, 5):
+            built.clear()
+            table = star_product_valences(m, n, witnesses)
+            assert built == list(table)
 
 
 def test_valence_count_floor_cases():
@@ -606,17 +639,16 @@ def test_cycle_member_valence_formula_over_random_keys(n, cycle, data):
 # Crown tables and split-doubling labelings, frozen from a reference run
 # so that a faster construction must build byte-identical outputs:
 # (tables, s2n labelings, sha256).
-FROZEN_CONSTRUCT = (10, 1578, "9a380ecbe4d6ed0b2b23ba84b3ef57e2d137e7b20810f977f021f8ecd3a80a2f")
+FROZEN_CONSTRUCT = (5, 1578, "2630cac5ef0407b1ca348e1ff0be127a9ba5bdae4bbb8607be07a3f5fc5bc0d2")
 
 
 def test_crown_tables_and_s2n_labelings_are_frozen():
     digest, counts = hashlib.sha256(), [0, 0]
     for m, n in ((3, 5), (4, 3), (5, 2), (6, 2), (4, 2)):
         witnesses = list(em_spectrum(mk_cycle(m)).witnesses.values())
-        for all_centers in (False, True):
-            table = star_product_valences(m, n, witnesses, all_centers=all_centers)
-            digest.update(repr(sorted(table.items())).encode())
-            counts[0] += 1
+        table = star_product_valences(m, n, witnesses)
+        digest.update(repr(sorted(table.items())).encode())
+        counts[0] += 1
     bases = (
         Graph(4, ((1, 2), (2, 3), (3, 4))),
         mk_complete_bipartite(1, 3),

@@ -36,7 +36,14 @@ from edgemagic import (
     valence_of,
 )
 from edgemagic.search import _search, _valence_floor, _witness_finder
-from naive import CORPUS, WIDE_CORPUS, naive_least_witness, naive_valences, twin_classes
+from naive import (
+    CORPUS,
+    WIDE_CORPUS,
+    all_trees,
+    naive_least_witness,
+    naive_valences,
+    twin_classes,
+)
 
 # Frozen from a one-off brute-force enumeration over all labelings.
 FROZEN_EM = {
@@ -352,6 +359,37 @@ def test_triangle_free_spectra_match_the_bench_checker_beyond_naive_size():
         raised += _valence_floor(G, "em") == G.p + G.q + 4 and em_interval(G).lo <= G.p + G.q + 3
     # the p+q+4 floor cuts into the window of three of them
     assert raised >= 3
+
+
+def test_split_doubling_spectra_match_the_bench_checker():
+    # split doublings at n = 1, built by the checker from their definition,
+    # p+q from 18 to 24; each part-1 set lists edge indices of the base
+    checker = _bench_checker()
+    bases = (
+        (Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5))), ({1}, {1, 2}, {1, 3}, {2, 3})),
+        (mk_complete_bipartite(2, 3), ({3},)),
+        (mk_cycle(6), ({1}, {2}, {1, 2}, {3}, {2, 3})),
+    )
+    for G, parts in bases:
+        for part1 in parts:
+            p, edges, _ = checker.doubling(G.p, G.edges, part1, 1)
+            D = Graph(p, tuple(edges))
+            for kind, spectrum in (("em", em_spectrum), ("sem", sem_spectrum)):
+                want = checker.exact_spectrum(p, edges, kind)
+                assert list(spectrum(D, cap=D.p + D.q).achieved) == want, (G, part1, kind)
+
+
+def test_every_tree_up_to_twelve_vertices_is_super_edge_magic():
+    # the conjecture of Enomoto, Llado, Nakamigawa and Ringel (1998), which
+    # Lee and Shah (2002) checked by computer up to 17 vertices; the tree
+    # counts per p are OEIS A000055
+    trees = all_trees(12)
+    assert [len(trees[p]) for p in range(2, 13)] == [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    for p in range(2, 13):
+        for T in trees[p]:
+            hit = first_sem_labeling(T, cap=2 * p)
+            assert hit is not None, T
+            assert is_super_edge_magic(T, hit[1]) == hit[0], T
 
 
 def test_cycles_are_super_edge_magic_exactly_when_odd():
