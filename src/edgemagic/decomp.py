@@ -183,25 +183,21 @@ def build_s2n(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> S2nGraph:
     )
 
 
-def s2n_iso_map(s: S2nGraph, center: int = 1) -> dict[int, int]:
+def s2n_iso_map(s: S2nGraph) -> dict[int, int]:
     """Vertex bijection from the star composition onto the doubling.
 
-    The composition of the split orientation with an (n+1)-vertex star
-    member numbers its vertices (n+1)*(a-1) + i for original vertex a and
-    fiber position i.  Fiber position `center` (where the member's center
-    sits) carries the originals; the remaining positions carry copy
-    levels 1..n in order, skipping the center position.
+    The composition of the split orientation with the (n+1)-vertex star
+    with loop, center at vertex 1, numbers its vertices (n+1)*(a-1) + i
+    for original vertex a and fiber position i.  Fiber position 1 carries
+    the originals and position i > 1 copy level i-1.
     """
     p, c = s.base.p, s.n + 1
-    if not 1 <= center <= c:
-        raise ValueError(f"center position must lie in 1..{c}")
-    iso: dict[int, int] = {}
-    for a, off in enumerate(s.offsets, 1):
-        first = c * (a - 1)
-        for i in range(1, c + 1):
-            # copy level k of a is vertex k*p + offsets[a-1]
-            iso[first + i] = a if i == center else (i if i < center else i - 1) * p + off
-    return iso
+    # copy level k of a is vertex k*p + offsets[a-1]
+    return {
+        c * (a - 1) + i: (i - 1) * p + off if i > 1 else a
+        for a, off in enumerate(s.offsets, 1)
+        for i in range(1, c + 1)
+    }
 
 
 def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool:
@@ -218,7 +214,7 @@ def verify_s2n_iso(G: Graph, bip: Bipartition, d: Decomposition, n: int) -> bool
 def _is_star_composition(s: S2nGraph) -> bool:
     star = Digraph(s.n + 1, tuple((1, j) for j in range(1, s.n + 2)))
     prod = tensor_product(s.orientation, (star,) * s.base.q)
-    return edges_match_under(prod, s.graph, s2n_iso_map(s, 1))
+    return edges_match_under(prod, s.graph, s2n_iso_map(s))
 
 
 def _s2n_labels(s: S2nGraph, f: TotalLabeling, r: int) -> TotalLabeling:
@@ -250,7 +246,7 @@ def induced_s2n_labeling(
     and k+1 from r on.  Original a gets (n+1)*(f(a)-1) + r, its copy k
     (n+1)*(f(a)-1) + g_k, base edge t (n+1)*f(t) + 1 - r and the level k
     cross edge of arc t (n+1)*f(t) + 1 - g_k: the star composition's
-    labeling carried along s2n_iso_map(s, 1), of valence
+    labeling carried along s2n_iso_map(s), of valence
     (n+1)*(v-2) + r + 1.  The doubling is proved to be that composition
     and the labeling is checked on it; when f is super edge magic so is
     the labeling.  Returns the doubling, the labeling, its valence.

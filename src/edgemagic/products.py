@@ -100,7 +100,11 @@ class InducedProductLabeling:
 
     member_maps records, per outer arc, the renumbering applied to that
     arc's member before composing: entry v-1 holds the new index of
-    member vertex v.  Construction checks the valence on product's arcs.
+    member vertex v.  The maps crown_iso_from_cycle_product,
+    crown_iso_from_star_product and s2n_iso_map take members as built; with
+    one mm on every arc of b-vertex members, such an iso carries this
+    product as {b*((x-1)//b) + mm[(x-1)%b]: y for x, y in iso.items()}.
+    Construction checks the valence on product's arcs.
     """
 
     product: Digraph
@@ -346,40 +350,32 @@ def orient_cycle(m: int) -> Digraph:
     return Digraph(m, tuple((i, i % m + 1) for i in range(1, m + 1)))
 
 
-def crown_iso_from_cycle_product(m: int, n: int, center: int) -> dict[int, int]:
+def crown_iso_from_cycle_product(m: int, n: int) -> dict[int, int]:
     """Vertex map onto mk_crown(m, n) for the cycle-composed-with-stars
     product.
 
     Assumes the outer digraph is orient_cycle(m) and every member is the
-    renumbered star with loop whose center index is `center`.  Fiber
-    position `center` carries the cycle; copy j of cycle vertex a is
-    pendant j of the previous cycle vertex.
+    star with loop as star_loop_labeling builds it, center at vertex 1.
+    Fiber position 1 carries the cycle; position i > 1 of cycle vertex a
+    is pendant i-1 of the previous cycle vertex.
     """
     iso: dict[int, int] = {}
     for a in range(1, m + 1):
         for i in range(1, n + 2):
-            j = i if i < center else i - 1
-            iso[(n + 1) * (a - 1) + i] = a if i == center else m + ((a - 2) % m) * n + j
+            iso[(n + 1) * (a - 1) + i] = a if i == 1 else m + ((a - 2) % m) * n + i - 1
     return iso
 
 
-def crown_iso_from_star_product(m: int, n: int, member_map: Sequence[int]) -> dict[int, int]:
+def crown_iso_from_star_product(m: int, n: int) -> dict[int, int]:
     """Vertex map onto mk_crown(m, n) for the star-composed-with-cycles
     product.
 
     Assumes the outer digraph is the star with loop on n+1 vertices with
-    the loop at vertex 1 and that every arc carries orient_cycle(m)
-    renumbered by member_map, as normalize_by_labels returns it.  With
-    the factors swapped this is the center-1 cycle product, its cycle
-    read from the vertex renumbered 1.
+    the loop at vertex 1 and that every arc carries orient_cycle(m).
+    This is crown_iso_from_cycle_product with the factors swapped.
     """
-    cyc = crown_iso_from_cycle_product(m, n, 1)
-    start = member_map.index(1)
-    return {
-        m * (s - 1) + member_map[v - 1]: cyc[(n + 1) * ((v - 1 - start) % m) + s]
-        for s in range(1, n + 2)
-        for v in range(1, m + 1)
-    }
+    cyc, c = crown_iso_from_cycle_product(m, n), n + 1
+    return {m * (s - 1) + v: cyc[c * (v - 1) + s] for s in range(1, c + 1) for v in range(1, m + 1)}
 
 
 def _route(product: Digraph, target: Graph, iso: dict[int, int]) -> TotalLabeling:
@@ -432,9 +428,9 @@ def star_product_valences(
     star = stars[1].digraph
     star_members = [(sem_factor_key(S), ((S, tuple(range(1, n + 2))),) * m) for S in stars.values()]
     cycle_product = tensor_product(cyc, (star,) * m)
-    cycle_route = _route(cycle_product, crown, crown_iso_from_cycle_product(m, n, 1))
+    cycle_route = _route(cycle_product, crown, crown_iso_from_cycle_product(m, n))
     star_product = tensor_product(star, (cyc,) * (n + 1))
-    star_route = _route(star_product, crown, crown_iso_from_star_product(m, n, range(1, m + 1)))
+    star_route = _route(star_product, crown, crown_iso_from_star_product(m, n))
     found: dict[int, TotalLabeling] = {}
     for L in cycle_labelings:
         v = valence_of(cyc, L)
@@ -447,7 +443,8 @@ def star_product_valences(
         vl, el = L.vertex_labels, L.edge_labels
         s = vl.index(min(vl))
         rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
-        key, members = em_factor_key(rotated), ((rotated, tuple(range(1, m + 1))),) * (n + 1)
+        # em_factor_key(rotated), unchecked: rotation keeps L's valence and labels
+        key, members = (m, v, frozenset(vl)), ((rotated, tuple(range(1, m + 1))),) * (n + 1)
         for r, S in stars.items():
             if 2 * m * (n + r - 1) + v not in found:
                 ind = _em_induced(star_product, star, S.labeling.vertex_labels, key, members)
@@ -481,8 +478,10 @@ def valence_count_floor(G: Graph, n: int, achieved: Sequence[int]) -> int:
     star-outer rule at the extreme centers lands strictly below and
     strictly above all of them.  When the spread satisfies
     max - min < (min - (p+q+2))*n the two rules interleave per value and
-    the floor rises to (n+3)*|achieved|.  Returns 0 for no valences.
+    the floor rises to (n+3)*|achieved|, counting distinct values.
+    Returns 0 for no valences.
     """
+    achieved = set(achieved)
     if not achieved:
         return 0
     lo, hi = min(achieved), max(achieved)

@@ -361,12 +361,14 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     # remainder
     base = degs[-1] if sem else 1
     steps = [d - base for d in degs]
+    # settled: super edge magic, or no isolated vertex to take any free label
+    settled = sem or live == p
     # weights[i]: deg(v) - base over the vertices v unplaced at depth i,
     # largest first; an edge magic graph with isolated vertices also
     # weighs each unforced edge 0 and each isolated vertex -1; elsewhere
     # the weights are at least 0 and descending, and the trailing zeros are
     # left out, so each depth's weights are a slice of steps
-    if sem or live == p:
+    if settled:
         nonzero = p - steps.count(0)
         weights = [steps[i:nonzero] for i in range(live)]
     else:
@@ -416,15 +418,14 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     # isolated vertex may take any free label, so with one close stays at
     # live, past every depth with pairs
     close = live
-    if sem or live == p:
+    if settled:
         while close and not ahead[close - 1] and order[close - 1] not in nbrs[order[close - 1]]:
             close -= 1
-    # fwd holds bit x for each free label x below vcut, the labels a
+    # fwd holds bit x for each free label x below flip, the labels a
     # neighbour may take; back holds bit k - y for each free label y from
-    # ecut up to k, the labels its edge may take
-    vcut, ecut = (p + 1, p + 1) if sem else (total + 1, 1)
-    # fbit[x]: the bit of label x in fwd, 0 for no label and from vcut on
-    fbit = [1 << x if 0 < x < vcut else 0 for x in range(total + 1)]
+    # emin up to k, the labels its edge may take
+    # fbit[x]: the bit of label x in fwd, 0 for no label and from flip on
+    fbit = [1 << x if 0 < x < flip else 0 for x in range(total + 1)]
     labels = range(vmax + 1)  # SEM: compress(labels, free) stops at p
     downs = range(vmax, -1, -1)
     # the root remainder is q*k - fixed: T = 1 + ... + (p+q) for edge magic
@@ -435,10 +436,10 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     def find(k: int) -> TotalLabeling | None:
         # free[x] is 1 while label x is unused; 0 is no label
         free = bytearray([0]) + bytearray([1]) * total
-        vfree = memoryview(free)[:vcut]
+        vfree = memoryview(free)[:flip]
         # bbit[y]: the bit of label y in back, none above k, since with
         # isolated vertices a valence can be p+q or less
-        bbit = [1 << k - y if ecut <= y <= k else 0 for y in range(total + 1)]
+        bbit = [1 << k - y if emin <= y <= k else 0 for y in range(total + 1)]
         # vlab[0] = 0 marks no twin; only vertices placed earlier are read
         vlab = [0] * (p + 1)
         middle = 2 * k == mirror

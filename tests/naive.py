@@ -126,6 +126,14 @@ def naive_kronecker(D_p: int, D_arcs: list[tuple[int, int]],
     return out
 
 
+def through_member_map(iso: dict[int, int], member_map) -> dict[int, int]:
+    """iso, a vertex map of a product of members as built, read on the
+    product of the same members each renumbered by member_map, entry i-1
+    the new index of member vertex i."""
+    b = len(member_map)
+    return {b * ((x - 1) // b) + member_map[(x - 1) % b]: y for x, y in iso.items()}
+
+
 def _center_code(p: int, edges) -> str:
     """AHU string of the tree rooted at its center; for a tree with two
     centers, the lesser of the two strings.  Equal strings mean

@@ -44,7 +44,7 @@ from edgemagic import (
     verify_s2n_iso,
 )
 from edgemagic import decomp, products
-from naive import WIDE_CORPUS
+from naive import WIDE_CORPUS, through_member_map
 
 P3 = Graph(3, ((1, 2), (2, 3)))
 P4 = Graph(4, ((1, 2), (2, 3), (3, 4)))
@@ -209,19 +209,17 @@ def test_iso_map_rejects_a_perturbed_copy():
     D = orient_for_decomposition(P3, bip, d)
     star = Digraph(2, ((1, 1), (1, 2)))
     prod = tensor_product(D, (star,) * P3.q)
-    assert edges_match_under(prod, s.graph, s2n_iso_map(s, 1))
+    assert edges_match_under(prod, s.graph, s2n_iso_map(s))
     # reroute the last cross edge to the wrong copy vertex
     bad = Graph(s.graph.p, s.graph.edges[:-1] + ((2, 4),))
-    assert not edges_match_under(prod, bad, s2n_iso_map(s, 1))
-    with pytest.raises(ValueError):
-        s2n_iso_map(s, 3)
+    assert not edges_match_under(prod, bad, s2n_iso_map(s))
 
 
-def _copy_index_map(s, center):
+def _copy_index_map(s):
     """s2n_iso_map's map, each copy vertex found by S2nGraph.copy_index."""
     c = s.n + 1
     return {
-        c * (a - 1) + i: a if i == center else s.copy_index(a, i if i < center else i - 1)
+        c * (a - 1) + i: s.copy_index(a, i - 1) if i > 1 else a
         for a in range(1, s.base.p + 1)
         for i in range(1, c + 1)
     }
@@ -231,10 +229,9 @@ def test_iso_map_matches_the_copy_index_map():
     for G in (P3, P4, mk_complete_bipartite(1, 3), mk_cycle(4)):
         bip = bipartition(G)
         for d in enumerate_2_decompositions(G, include_empty=True):
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 s = build_s2n(G, bip, d, n)
-                for r in range(1, n + 2):
-                    assert list(s2n_iso_map(s, r).items()) == list(_copy_index_map(s, r).items())
+                assert list(s2n_iso_map(s).items()) == list(_copy_index_map(s).items())
 
 
 def test_induced_labeling_hits_the_valence_formula():
@@ -298,7 +295,7 @@ def test_induced_labeling_refuses_a_wrong_fiber_map(monkeypatch):
     d = Decomposition(P3, frozenset({1}), frozenset({2}))
     _, f = first_em_labeling(P3)
     # a bijection that swaps two originals no longer matches the edges
-    swapped = lambda s, r: {**s2n_iso_map(s, r), 1: 2, 3: 1}  # noqa: E731
+    swapped = lambda s: {**s2n_iso_map(s), 1: 2, 3: 1}  # noqa: E731
     monkeypatch.setattr("edgemagic.decomp.s2n_iso_map", swapped)
     with pytest.raises(RuntimeError, match="does not match"):
         induced_s2n_labeling(P3, bip, d, 1, f, 1)
@@ -331,11 +328,12 @@ def _s2n_labeling_oracle(G, bip, d, n, f, r):
     """The doubling labeling built through the public functions: f
     induced on the orientation composed with the star normalized by its
     labels, whose center then sits at fiber position r, and transported
-    along the fiber map that position calls for."""
+    along the as-built fiber map read through the star's member map."""
     s = build_s2n(G, bip, d, n)
     outer = LabeledDigraph(orient_for_decomposition(G, bip, d), f)
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star_loop_labeling(n, r), G.q))
-    return s, transport(ind.product, ind.labeling, s2n_iso_map(s, r), s.graph), ind.valence
+    iso = through_member_map(s2n_iso_map(s), ind.member_maps[0])
+    return s, transport(ind.product, ind.labeling, iso, s.graph), ind.valence
 
 
 def test_induced_labeling_matches_the_public_function_oracle():
@@ -361,12 +359,14 @@ def _star_composition_labeling(s, f, r):
     """The paper's route to the doubling's labeling: the split's
     orientation composed with the star with loop of center label r, the
     product labeled by the super edge magic member rule and carried onto
-    the doubling along fiber position 1."""
+    the doubling along the fiber map, the star composed as built."""
     star = star_loop_labeling(s.n, r)
     product = tensor_product(s.orientation, (star.digraph,) * s.base.q)
-    members = ((star, tuple(range(1, s.n + 2))),) * s.base.q
+    as_built = tuple(range(1, s.n + 2))
+    members = ((star, as_built),) * s.base.q
     ind = products._sem_induced(product, f, valence_of(s.base, f), sem_factor_key(star), members)
-    return transport(product, ind.labeling, s2n_iso_map(s, 1), s.graph), ind.valence
+    iso = through_member_map(s2n_iso_map(s), as_built)
+    return transport(product, ind.labeling, iso, s.graph), ind.valence
 
 
 def test_closed_form_labeling_is_the_star_composition_labeling(monkeypatch):

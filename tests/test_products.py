@@ -45,7 +45,7 @@ from edgemagic import (
     valence_of,
 )
 from edgemagic import products
-from naive import naive_kronecker
+from naive import naive_kronecker, through_member_map
 
 
 def _small_digraphs(p: int, max_arcs: int, allow_empty: bool) -> list[Digraph]:
@@ -329,34 +329,33 @@ def test_cycle_outer_requires_edge_magic_outer():
 
 def test_crown_iso_maps_products_onto_crowns():
     crown = mk_crown(4, 2)
-    star = star_loop_labeling(2, 2)
-    norm, _ = normalize_by_labels(star)
-    P = tensor_product(orient_cycle(4), [norm.digraph] * 4)
-    assert edges_match_under(P, crown, crown_iso_from_cycle_product(4, 2, 2))
+    star, cyc = star_loop_labeling(2, 2), orient_cycle(4)
+    # the factors as built
+    P = tensor_product(cyc, [star.digraph] * 4)
+    assert edges_match_under(P, crown, crown_iso_from_cycle_product(4, 2))
+    P2 = tensor_product(star.digraph, [cyc] * 3)
+    assert edges_match_under(P2, crown, crown_iso_from_star_product(4, 2))
+    # the factors renumbered by their labels
+    norm, star_map = normalize_by_labels(star)
+    P = tensor_product(cyc, [norm.digraph] * 4)
+    iso = through_member_map(crown_iso_from_cycle_product(4, 2), star_map)
+    assert edges_match_under(P, crown, iso)
+    ncyc, member_map = normalize_by_labels(LabeledDigraph(cyc, CYCLE4_EM_LABELINGS[1]))
+    P2 = tensor_product(star.digraph, [ncyc.digraph] * 3)
+    iso = through_member_map(crown_iso_from_star_product(4, 2), member_map)
+    assert edges_match_under(P2, crown, iso)
 
-    ncyc, member_map = normalize_by_labels(
-        LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1])
-    )
-    star_outer = star_loop_labeling(2, 1)
-    P2 = tensor_product(star_outer.digraph, [ncyc.digraph] * 3)
-    assert edges_match_under(P2, crown, crown_iso_from_star_product(4, 2, member_map))
 
-
-def test_star_route_crown_maps_are_frozen():
-    # every em_spectrum witness of C3..C7 renumbered as a member, n = 1..3;
-    # another automorphism of the crown would move the transported
-    # star-route labelings, so the maps themselves are pinned
+def test_crown_maps_are_frozen():
+    # both routes' maps for m = 3..7 and n = 1..5; another automorphism of
+    # the crown would move the transported labelings, so the maps
+    # themselves are pinned
     h = hashlib.sha256()
-    cases = 0
     for m in range(3, 8):
-        for _, w in sorted(em_spectrum(mk_cycle(m)).witnesses.items()):
-            _, member_map = normalize_by_labels(LabeledDigraph(orient_cycle(m), w))
-            for n in (1, 2, 3):
-                iso = crown_iso_from_star_product(m, n, member_map)
-                h.update(repr(sorted(iso.items())).encode())
-                cases += 1
-    assert cases == 78
-    assert h.hexdigest() == "c530614e8c11413bccf7ed73f6920bd14970776e1dce14a0e9fe5dcb224a64d0"
+        for n in range(1, 6):
+            h.update(repr(sorted(crown_iso_from_cycle_product(m, n).items())).encode())
+            h.update(repr(sorted(crown_iso_from_star_product(m, n).items())).encode())
+    assert h.hexdigest() == "afd044113d6bf2eac126477df943555d65fd99ef10e42f4c973cb3b92dd6502c"
 
 
 def test_induced_labeling_verifies_itself_on_construction():
@@ -378,7 +377,7 @@ def test_crown_valence_table_is_the_full_interval():
 
 
 def test_crown_table_composes_twice_per_call(monkeypatch):
-    outers, made, matched = [], [], []
+    outers, made, matched, checked = [], [], [], []
 
     def counted(D, members):
         outers.append(D)
@@ -389,39 +388,51 @@ def test_crown_table_composes_twice_per_call(monkeypatch):
         matched.append(src)
         return transport(src, f, iso, dst)
 
+    def counted_valence(G, f):
+        checked.append(G)
+        return valence_of(G, f)
+
     monkeypatch.setattr(products, "tensor_product", counted)
     monkeypatch.setattr(products, "transport", counted_match)
-    for m, n in ((3, 1), (4, 2), (4, 3), (5, 2)):
+    monkeypatch.setattr(products, "valence_of", counted_valence)
+    for m, n in ((3, 1), (3, 3), (4, 2), (4, 3), (5, 1), (5, 2)):
         witnesses = tuple(em_spectrum(mk_cycle(m)).witnesses.values())
         star = star_loop_labeling(n, 1).digraph
         for labelings in ((), witnesses[:1], witnesses):
-            for calls in (outers, made, matched):
+            for calls in (outers, made, matched, checked):
                 calls.clear()
             star_product_valences(m, n, labelings)
             # one product and one crown match per route, whatever the
             # labelings and centers
             assert outers == [orient_cycle(m), star]
             assert matched == made
+            # and one valence check on the cycle per cycle labeling
+            assert checked.count(orient_cycle(m)) == len(labelings)
 
 
 def _crown_table_oracle(m, n, labelings):
     """The crown table built through the public functions: each labeling
     induced on a product of normalized factors at every star center, then
-    transported along the crown map that the normalization calls for."""
+    transported along the as-built crown map read through the member map.
+    The star route composes the labeling rotated to put its least vertex
+    label on vertex 1, the crown automorphism image the library picks."""
     crown, cyc = mk_crown(m, n), orient_cycle(m)
     found = {}
     for L in labelings:
         member = LabeledDigraph(cyc, L)
+        vl, el = L.vertex_labels, L.edge_labels
+        s = vl.index(min(vl))
+        rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
         for r in range(1, n + 2):
             star = ArcAssignment.constant(star_loop_labeling(n, r), m)
             ind = induced_labeling_from_sem_factors(member, star)
-            iso = crown_iso_from_cycle_product(m, n, r)
+            iso = through_member_map(crown_iso_from_cycle_product(m, n), ind.member_maps[0])
             found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
         for r in range(1, n + 2):
             ind = induced_labeling_from_em_factors(
-                star_loop_labeling(n, r), ArcAssignment.constant(member, n + 1)
+                star_loop_labeling(n, r), ArcAssignment.constant(rotated, n + 1)
             )
-            iso = crown_iso_from_star_product(m, n, ind.member_maps[0])
+            iso = through_member_map(crown_iso_from_star_product(m, n), ind.member_maps[0])
             found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
     return found
 
@@ -523,6 +534,9 @@ def test_valence_count_floor_cases():
     assert valence_count_floor(c4, 2, (12, 13, 14, 15)) == 20
     # spread too wide: only the guaranteed interleave plus two outliers
     assert valence_count_floor(c4, 2, (12, 17)) == 3 * 2 + 2
+    # a repeated valence counts once: one base valence reaches at most
+    # len(predicted_valences(c4, 2, (12,))) == 6 valences
+    assert valence_count_floor(c4, 2, (12, 12)) == valence_count_floor(c4, 2, (12,)) == 5
     assert valence_count_floor(c4, 1, ()) == 0
 
 
