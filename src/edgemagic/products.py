@@ -98,19 +98,12 @@ class ArcAssignment:
 class InducedProductLabeling:
     """A product digraph plus the labeling induced from its factors.
 
-    member_maps records, per outer arc, the renumbering applied to that
-    arc's member before composing: entry v-1 holds the new index of
-    member vertex v.  The maps crown_iso_from_cycle_product,
-    crown_iso_from_star_product and s2n_iso_map take members as built; with
-    one mm on every arc of b-vertex members, such an iso carries this
-    product as {b*((x-1)//b) + mm[(x-1)%b]: y for x, y in iso.items()}.
     Construction checks the valence on product's arcs.
     """
 
     product: Digraph
     labeling: TotalLabeling
     valence: int
-    member_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if valence_of(self.product, self.labeling) != self.valence:
@@ -157,10 +150,13 @@ def tensor_product(D: Digraph, members: Sequence[Digraph]) -> Digraph:
 def normalize_by_labels(member: LabeledDigraph) -> tuple[LabeledDigraph, tuple[int, ...]]:
     """Renumber vertices so index order matches vertex label order.
 
-    Returns the renumbered labeled digraph and the renumbering, entry
-    v-1 holding the new index of old vertex v.  Arc order is preserved
-    and edge labels stay put.  Under a super edge magic labeling the new
-    index of every vertex equals its label.
+    Returns the renumbered labeled digraph and the renumbering newidx,
+    entry v-1 the new index of old vertex v.  Arc order is preserved and
+    edge labels stay put; under a super edge magic labeling every new
+    index equals its label.  A map iso taking b-vertex members as built
+    (crown_iso_from_cycle_product, crown_iso_from_star_product,
+    s2n_iso_map) carries the product of members all renumbered by newidx
+    as {b*((x-1)//b) + newidx[(x-1)%b]: y for x, y in iso.items()}.
     """
     labels = member.labeling.vertex_labels
     order = sorted(range(1, member.digraph.p + 1), key=lambda v: labels[v - 1])
@@ -218,7 +214,7 @@ def _common_key(D: Digraph, assignment: ArcAssignment, key_fn):
         entry = done.get(plain)
         if entry is None:
             try:
-                entry = done[plain] = (key_fn(M), normalize_by_labels(M))
+                entry = done[plain] = (key_fn(M), normalize_by_labels(M)[0])
             except ValueError as exc:
                 raise ValueError(f"member {t}: {exc}") from None
         keyed.append(entry)
@@ -247,7 +243,7 @@ def induced_labeling_from_sem_factors(
     v = valence_of(D, outer.labeling)
     if v is None:
         raise ValueError("outer labeling is not edge magic")
-    product = tensor_product(D, [nm.digraph for nm, _ in normalized])
+    product = tensor_product(D, [nm.digraph for nm in normalized])
     return _sem_induced(product, outer.labeling, v, key, normalized)
 
 
@@ -256,23 +252,23 @@ def _sem_induced(
     f: TotalLabeling,
     v: int,
     key: tuple[int, int],
-    members: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
+    members: Sequence[LabeledDigraph],
 ) -> InducedProductLabeling:
     """The label arithmetic of induced_labeling_from_sem_factors: f of
-    valence v on the outer digraph, members of key (p_m, k) with their
-    member maps, one per arc, and their product, all checked by the
-    caller.  The members must give each vertex index the same label."""
+    valence v on the outer digraph, members of key (p_m, k), one per arc,
+    and their product, all checked by the caller.  The members must give
+    each vertex index the same label."""
     p_m, k = key
-    g = members[0][0].labeling.vertex_labels
+    g = members[0].labeling.vertex_labels
     vlabs = [p_m * (x - 1) + y for x in f.vertex_labels for y in g]
     elabs: list[int] = []
-    for t, (M, _) in enumerate(members):
+    for t, M in enumerate(members):
         base = p_m * (f.edge_labels[t] - 1) + k + p_m
         lab = M.labeling.vertex_labels
         elabs.extend([base - lab[i - 1] - lab[j - 1] for i, j in M.digraph.arcs])
     labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
     valence = p_m * (v - 3) + k + p_m
-    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in members))
+    return InducedProductLabeling(product, labeling, valence)
 
 
 def _em_induced(
@@ -280,7 +276,7 @@ def _em_induced(
     D: Digraph,
     g: Sequence[int],
     key: tuple[int, int, frozenset[int]],
-    members: Sequence[tuple[LabeledDigraph, tuple[int, ...]]],
+    members: Sequence[LabeledDigraph],
 ) -> InducedProductLabeling:
     """The label arithmetic of induced_labeling_from_em_factors, read as
     _sem_induced's: g the super edge magic vertex labels of D and members
@@ -288,15 +284,15 @@ def _em_induced(
     q_m, sigma, vset = key
     total = len(vset) + q_m
     smax = max(induced_sums(D, g))
-    h = members[0][0].labeling.vertex_labels
+    h = members[0].labeling.vertex_labels
     vlabs = [total * (x - 1) + y for x in g for y in h]
     elabs: list[int] = []
-    for (x, y), (M, _) in zip(D.arcs, members):
+    for (x, y), M in zip(D.arcs, members):
         base = total * (smax - (g[x - 1] + g[y - 1]))
         elabs.extend([base + el for el in M.labeling.edge_labels])
     labeling = TotalLabeling(tuple(vlabs), tuple(elabs))
     valence = total * (smax - 2) + sigma
-    return InducedProductLabeling(product, labeling, valence, tuple(m for _, m in members))
+    return InducedProductLabeling(product, labeling, valence)
 
 
 def induced_labeling_from_em_factors(
@@ -317,7 +313,7 @@ def induced_labeling_from_em_factors(
     if is_super_edge_magic(D, outer.labeling) is None:
         raise ValueError("outer labeling is not super edge magic")
     key, normalized = _common_key(D, assignment, em_factor_key)
-    product = tensor_product(D, [nm.digraph for nm, _ in normalized])
+    product = tensor_product(D, [nm.digraph for nm in normalized])
     return _em_induced(product, D, outer.labeling.vertex_labels, key, normalized)
 
 
@@ -426,7 +422,7 @@ def star_product_valences(
     stars = {r: star_loop_labeling(n, r) for r in range(1, n + 2)}
     # every star_loop_labeling(n, r) has this digraph: center 1, loop first
     star = stars[1].digraph
-    star_members = [(sem_factor_key(S), ((S, tuple(range(1, n + 2))),) * m) for S in stars.values()]
+    star_members = [(sem_factor_key(S), (S,) * m) for S in stars.values()]
     cycle_product = tensor_product(cyc, (star,) * m)
     cycle_route = _route(cycle_product, crown, crown_iso_from_cycle_product(m, n))
     star_product = tensor_product(star, (cyc,) * (n + 1))
@@ -444,7 +440,7 @@ def star_product_valences(
         s = vl.index(min(vl))
         rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
         # em_factor_key(rotated), unchecked: rotation keeps L's valence and labels
-        key, members = (m, v, frozenset(vl)), ((rotated, tuple(range(1, m + 1))),) * (n + 1)
+        key, members = (m, v, frozenset(vl)), (rotated,) * (n + 1)
         for r, S in stars.items():
             if 2 * m * (n + r - 1) + v not in found:
                 ind = _em_induced(star_product, star, S.labeling.vertex_labels, key, members)
@@ -461,6 +457,8 @@ def predicted_valences(G: Graph, n: int, achieved: Sequence[int]) -> set[int]:
     (p+q)*(n+r-1)+v.  No labelings are built here; use the induced
     labeling functions for witnesses.
     """
+    if n < 1:
+        raise ValueError("need at least one leaf")
     total = G.p + G.q
     out: set[int] = set()
     for v in achieved:
@@ -481,6 +479,8 @@ def valence_count_floor(G: Graph, n: int, achieved: Sequence[int]) -> int:
     the floor rises to (n+3)*|achieved|, counting distinct values.
     Returns 0 for no valences.
     """
+    if n < 1:
+        raise ValueError("need at least one leaf")
     achieved = set(achieved)
     if not achieved:
         return 0

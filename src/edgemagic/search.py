@@ -92,16 +92,16 @@ magic graph with isolated vertices, weight -1 each, lists a weight for
 every free label: its unplaced degrees less 1, a 0 per unforced edge and
 a -1 per isolated vertex.  Both extremes are read lazily from the two ends of the free
 labels, with no list built per node, and only where two or more weights
-are left.  With none left the bound says the remainder is 0; with one,
-the last weighted vertex below tries only the label the remainder
-names, which is a free label only where the bound holds, so either way
-a node is cut exactly where the two dot products would cut it.
+are left.  With one left, the last weighted vertex below tries only the
+label the remainder names, a free label only where the bound holds, and
+that label leaves 0; so with none left the remainder is 0 already, as is
+a root's with no weights (its window holds only the valence making it 0).
 
 The congruence.  The gcd g_i of the weights of U must divide the
 remainder.  The moduli are computed once per graph for every depth,
 isolated vertices included (edge magic weight -1, so g_i = 1 while one
-is unplaced).  g_i = 0 says the weighted sum is 0, which the bound
-already enforces, and g_i = 1 cuts nothing, so only larger moduli are
+is unplaced).  g_i = 0 says the weighted sum is 0, which it already is
+(see the bound), and g_i = 1 cuts nothing, so only larger moduli are
 checked.  Placing the vertex v at depth i - 1 with label x moves the
 remainder by v's weight times x, a multiple of g_(i-1); so where g_i
 equals g_(i-1), the residue modulo g_i is the one already checked at a
@@ -313,7 +313,7 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
     One call per vertex of nonzero degree takes the remainder and the
     free labels as the bitmasks fwd and back from its parent, checks the
     congruence, the pairs, the homes and, where two or more weights are
-    left, the bound (where none is, the remainder must be 0), then places
+    left, the bound (where none is, the remainder is 0 already), then places
     the vertex: on its one possible label when it is the last vertex with
     a weight (its depth's weights are that weight alone), else on each
     free label in its range in turn, handing each child the masks with
@@ -491,9 +491,6 @@ def _witness_finder(G: Graph, kind: str, mirror: int) -> Callable[[int], TotalLa
                     <= sum(map(mul, w, compress(downs, reversed(vfree))))
                 ):
                     return False
-            elif not w and rest:
-                # no unplaced vertex weighs anything
-                return False
             v, step = order[i], steps[i]
             lo, top = vlab[twin[i]] + 1, vmax
             if middle and i in v0_class:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -191,6 +192,27 @@ def test_failed_witnesses_write_names_the_path_as_given(files, capsys, tmp_path)
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(out) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "c4.g"]
+    # a directory as the target: the temporary file beside it is written,
+    # then the rename fails, and the temporary file is removed
+    target = tmp_path / "dir"
+    target.mkdir()
+    code = main(["spectrum", "--kind", "em", "--witnesses", str(target), c4])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert repr(str(target)) in captured.err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c4.g", target]
+    assert list(target.iterdir()) == []
+
+
+def test_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "edgemagic.cli", "repro", "c4-spectrum"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["verified"] is True
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "linked"])

@@ -31,6 +31,7 @@ from edgemagic import (
     mk_complete_bipartite,
     mk_crown,
     mk_cycle,
+    normalize_by_labels,
     obstruction_report,
     orient_cycle,
     orient_for_decomposition,
@@ -328,11 +329,12 @@ def _s2n_labeling_oracle(G, bip, d, n, f, r):
     """The doubling labeling built through the public functions: f
     induced on the orientation composed with the star normalized by its
     labels, whose center then sits at fiber position r, and transported
-    along the as-built fiber map read through the star's member map."""
+    along the as-built fiber map read through the star's renumbering."""
     s = build_s2n(G, bip, d, n)
     outer = LabeledDigraph(orient_for_decomposition(G, bip, d), f)
-    ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star_loop_labeling(n, r), G.q))
-    iso = through_member_map(s2n_iso_map(s), ind.member_maps[0])
+    star = star_loop_labeling(n, r)
+    ind = induced_labeling_from_sem_factors(outer, ArcAssignment.constant(star, G.q))
+    iso = through_member_map(s2n_iso_map(s), normalize_by_labels(star)[1])
     return s, transport(ind.product, ind.labeling, iso, s.graph), ind.valence
 
 
@@ -362,11 +364,9 @@ def _star_composition_labeling(s, f, r):
     the doubling along the fiber map, the star composed as built."""
     star = star_loop_labeling(s.n, r)
     product = tensor_product(s.orientation, (star.digraph,) * s.base.q)
-    as_built = tuple(range(1, s.n + 2))
-    members = ((star, as_built),) * s.base.q
+    members = (star,) * s.base.q
     ind = products._sem_induced(product, f, valence_of(s.base, f), sem_factor_key(star), members)
-    iso = through_member_map(s2n_iso_map(s), as_built)
-    return transport(product, ind.labeling, iso, s.graph), ind.valence
+    return transport(product, ind.labeling, s2n_iso_map(s), s.graph), ind.valence
 
 
 def test_closed_form_labeling_is_the_star_composition_labeling(monkeypatch):

@@ -133,6 +133,8 @@ def test_mk_complete_bipartite_shape():
     assert G.p == 5 and G.q == 6
     assert G.edges == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
     assert G.degrees() == (3, 3, 2, 2, 2)
+    with pytest.raises(ValueError, match="both sides must be nonempty"):
+        mk_complete_bipartite(0, 3)
 
 
 def test_bipartition_sides_split_every_edge():

@@ -122,6 +122,8 @@ def test_is_super_edge_magic_requires_low_vertex_labels():
 
 def test_induced_sums_follow_edge_order():
     assert induced_sums(C4, (1, 6, 2, 3)) == (7, 8, 5, 4)
+    with pytest.raises(InvalidLabelingError, match="expected 4 vertex labels, got 3"):
+        induced_sums(C4, (1, 2, 3))
 
 
 def test_extend_vertex_labeling_builds_the_unique_completion():
@@ -134,6 +136,8 @@ def test_extend_vertex_labeling_builds_the_unique_completion():
     g = extend_vertex_labeling(p3, (2, 1, 3))
     assert g is not None and is_super_edge_magic(p3, g) == 8
     assert extend_vertex_labeling(C4, (1, 2, 3, 4)) is None
+    # no edges: no induced sums to make consecutive
+    assert extend_vertex_labeling(Graph(2), (1, 2)) is None
 
 
 def test_complement_flips_labels_and_valence():

@@ -363,9 +363,9 @@ def test_induced_labeling_verifies_itself_on_construction():
     ind = induced_labeling_from_sem_factors(
         cyc, ArcAssignment.constant(star_loop_labeling(1, 1), 4)
     )
-    assert ind == InducedProductLabeling(ind.product, ind.labeling, ind.valence, ind.member_maps)
+    assert ind == InducedProductLabeling(ind.product, ind.labeling, ind.valence)
     with pytest.raises(RuntimeError, match="induced labeling failed verification"):
-        InducedProductLabeling(ind.product, ind.labeling, ind.valence + 1, ind.member_maps)
+        InducedProductLabeling(ind.product, ind.labeling, ind.valence + 1)
 
 
 def test_crown_valence_table_is_the_full_interval():
@@ -413,7 +413,8 @@ def test_crown_table_composes_twice_per_call(monkeypatch):
 def _crown_table_oracle(m, n, labelings):
     """The crown table built through the public functions: each labeling
     induced on a product of normalized factors at every star center, then
-    transported along the as-built crown map read through the member map.
+    transported along the as-built crown map read through the member's
+    renumbering.
     The star route composes the labeling rotated to put its least vertex
     label on vertex 1, the crown automorphism image the library picks."""
     crown, cyc = mk_crown(m, n), orient_cycle(m)
@@ -424,15 +425,15 @@ def _crown_table_oracle(m, n, labelings):
         s = vl.index(min(vl))
         rotated = LabeledDigraph(cyc, TotalLabeling(vl[s:] + vl[:s], el[s:] + el[:s]))
         for r in range(1, n + 2):
-            star = ArcAssignment.constant(star_loop_labeling(n, r), m)
-            ind = induced_labeling_from_sem_factors(member, star)
-            iso = through_member_map(crown_iso_from_cycle_product(m, n), ind.member_maps[0])
+            star = star_loop_labeling(n, r)
+            ind = induced_labeling_from_sem_factors(member, ArcAssignment.constant(star, m))
+            iso = through_member_map(crown_iso_from_cycle_product(m, n), normalize_by_labels(star)[1])
             found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
         for r in range(1, n + 2):
             ind = induced_labeling_from_em_factors(
                 star_loop_labeling(n, r), ArcAssignment.constant(rotated, n + 1)
             )
-            iso = through_member_map(crown_iso_from_star_product(m, n), ind.member_maps[0])
+            iso = through_member_map(crown_iso_from_star_product(m, n), normalize_by_labels(rotated)[1])
             found.setdefault(ind.valence, transport(ind.product, ind.labeling, iso, crown))
     return found
 
@@ -499,6 +500,9 @@ def test_predicted_valences_match_the_constructed_table():
     predicted = predicted_valences(c4, 2, (12, 13, 14, 15))
     assert predicted == set(range(28, 48))
     assert predicted == set(star_product_valences(4, 2, CYCLE4_EM_LABELINGS))
+    # no star has fewer than one leaf, so no valence is promised for one
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        predicted_valences(c4, 0, (12,))
     widened = 0
     for m in range(3, 8):
         spectrum = em_spectrum(mk_cycle(m))
@@ -538,6 +542,9 @@ def test_valence_count_floor_cases():
     # len(predicted_valences(c4, 2, (12,))) == 6 valences
     assert valence_count_floor(c4, 2, (12, 12)) == valence_count_floor(c4, 2, (12,)) == 5
     assert valence_count_floor(c4, 1, ()) == 0
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one leaf"):
+            valence_count_floor(c4, n, (12, 13))
 
 
 def test_cycle_outer_blocks_for_distinct_valences_do_not_collide():
@@ -569,44 +576,44 @@ CYCLE_WITNESSES = {
 
 
 def _arc_by_arc_sem(outer: LabeledDigraph, members, k: int):
-    """Product, labeling and member maps of the SEM-member composition,
+    """Product and labeling of the SEM-member composition,
     rebuilt arc by arc with each member normalized on its own; k is the
     members' least induced sum."""
-    norms = [normalize_by_labels(M) for M in members]
-    product = tensor_product(outer.digraph, [nm.digraph for nm, _ in norms])
+    norms = [normalize_by_labels(M)[0] for M in members]
+    product = tensor_product(outer.digraph, [nm.digraph for nm in norms])
     pm, f = members[0].digraph.p, outer.labeling
     vl = [pm * (f.vertex_labels[a] - 1) + i for a in range(outer.digraph.p) for i in range(1, pm + 1)]
     el = [
         pm * (f.edge_labels[t] - 1) + k + pm - (i + j)
-        for t, (nm, _) in enumerate(norms)
+        for t, nm in enumerate(norms)
         for i, j in nm.digraph.arcs
     ]
-    return product, TotalLabeling(tuple(vl), tuple(el)), tuple(m for _, m in norms)
+    return product, TotalLabeling(tuple(vl), tuple(el))
 
 
 def _arc_by_arc_em(outer: LabeledDigraph, members):
     """The same for the EM-member composition over an SEM outer digraph."""
-    norms = [normalize_by_labels(M) for M in members]
-    product = tensor_product(outer.digraph, [nm.digraph for nm, _ in norms])
-    first = norms[0][0]
+    norms = [normalize_by_labels(M)[0] for M in members]
+    product = tensor_product(outer.digraph, [nm.digraph for nm in norms])
+    first = norms[0]
     total, g = first.digraph.p + first.digraph.q, outer.labeling.vertex_labels
     smax = max(g[x - 1] + g[y - 1] for x, y in outer.digraph.arcs)
     vl = [total * (g[i] - 1) + x for i in range(outer.digraph.p) for x in first.labeling.vertex_labels]
     el = [
         total * (smax - g[x - 1] - g[y - 1]) + e
-        for (x, y), (nm, _) in zip(outer.digraph.arcs, norms)
+        for (x, y), nm in zip(outer.digraph.arcs, norms)
         for e in nm.labeling.edge_labels
     ]
-    return product, TotalLabeling(tuple(vl), tuple(el)), tuple(m for _, m in norms)
+    return product, TotalLabeling(tuple(vl), tuple(el))
 
 
 def test_constant_assignments_match_the_arc_by_arc_reference():
     cyc = LabeledDigraph(orient_cycle(4), CYCLE4_EM_LABELINGS[1])
     star = star_loop_labeling(2, 2)
     ind = induced_labeling_from_sem_factors(cyc, ArcAssignment.constant(star, 4))
-    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_sem(cyc, (star,) * 4, 3)
+    assert (ind.product, ind.labeling) == _arc_by_arc_sem(cyc, (star,) * 4, 3)
     ind = induced_labeling_from_em_factors(star, ArcAssignment.constant(cyc, 3))
-    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_em(star, (cyc,) * 3)
+    assert (ind.product, ind.labeling) == _arc_by_arc_em(star, (cyc,) * 3)
 
 
 def _reversed_some(draw, D: Digraph) -> Digraph:
@@ -629,7 +636,7 @@ def test_star_member_valence_formula_over_random_keys(cycle, n, data):
     ind = induced_labeling_from_sem_factors(outer, ArcAssignment(members))
     expected = (n + 1) * (v - 3) + (r + 1) + (n + 1)
     assert ind.valence == expected == valence_of(ind.product, ind.labeling)
-    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_sem(outer, members, r + 1)
+    assert (ind.product, ind.labeling) == _arc_by_arc_sem(outer, members, r + 1)
 
 
 @DETERMINISTIC
@@ -647,7 +654,7 @@ def test_cycle_member_valence_formula_over_random_keys(n, cycle, data):
     kmin = min(induced_sums(outer.digraph, outer.labeling.vertex_labels))
     expected = (m + m) * (kmin + (n + 1) - 3) + k
     assert ind.valence == expected == valence_of(ind.product, ind.labeling)
-    assert (ind.product, ind.labeling, ind.member_maps) == _arc_by_arc_em(outer, members)
+    assert (ind.product, ind.labeling) == _arc_by_arc_em(outer, members)
 
 
 # Crown tables and split-doubling labelings, frozen from a reference run
