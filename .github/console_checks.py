@@ -125,6 +125,12 @@ def run_checks(tmp: Path) -> None:
         ),
     )
     check("s2n of P4 at center 4", [*s2n, "--center", "4"], 2, "error: ")
+    check(
+        "s2n of P4 with an edge index past q",
+        ["s2n", "--graph", p4, "--h1", "1,9"],
+        2,
+        "error: edge indices must lie in 1..",
+    )
     # the two splits with an empty part included
     check(
         "decompose P4 with empty parts",

@@ -17,7 +17,7 @@ path = Graph(4, ((1, 2), (2, 3), (3, 4)))
 sides = bipartition(path)
 print("sides:", sorted(sides.X), "and", sorted(sides.Y))
 
-split = Decomposition(path, frozenset({1, 3}), frozenset({2}))
+split = Decomposition(path, frozenset({1, 3}))
 doubled = build_s2n(path, sides, split, 1)
 print("doubling:", doubled.graph.p, "vertices,", doubled.graph.q, "edges")
 print("edges:", doubled.graph.edges)

@@ -293,11 +293,7 @@ def _cmd_s2n(args: argparse.Namespace) -> int:
     bip = bipartition(G)
     if bip is None:
         raise ValueError(f"{args.graph}: graph is not bipartite")
-    part1 = _parse_indices(args.h1)
-    full = frozenset(range(1, G.q + 1))
-    if not part1 <= full:
-        raise ValueError(f"edge indices must lie in 1..{G.q}")
-    d = Decomposition(G, part1, full - part1)
+    d = Decomposition(G, _parse_indices(args.h1))
     if args.labeling:
         f = _load(args, "labeling", args.labeling, parse_labeling, G.p, G.q)
         s, lab, val = induced_s2n_labeling(G, bip, d, args.n, f, args.center)
@@ -394,8 +390,8 @@ def _repro_k1nl_perfect() -> tuple[dict[str, Any], bool]:
 
 def _repro_s2_k33() -> tuple[dict[str, Any], bool]:
     G = mk_complete_bipartite(3, 3)
-    matching = frozenset({1, 5, 9})
-    d = Decomposition(G, frozenset(range(1, 10)) - matching, matching)
+    # the second part is the perfect matching {1, 5, 9}
+    d = Decomposition(G, frozenset(range(1, 10)) - {1, 5, 9})
     bip = bipartition(G)
     assert bip is not None
     hit = first_em_labeling(G)

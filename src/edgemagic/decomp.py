@@ -42,7 +42,6 @@ from .search import DEFAULT_CAP, _search
 
 __all__ = [
     "Decomposition",
-    "check_decomposition",
     "enumerate_2_decompositions",
     "orient_for_decomposition",
     "S2nGraph",
@@ -55,28 +54,27 @@ __all__ = [
 ]
 
 
-def check_decomposition(G: Graph, part1: frozenset[int], part2: frozenset[int]) -> bool:
-    """True when part1 and part2 split the edge indices 1..q of G exactly."""
-    full = frozenset(range(1, G.q + 1))
-    return (part1 | part2) == full and not (part1 & part2)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """An ordered split of a graph's edge set into two index parts.
 
-    Parts may be empty; edge indices are 1-based positions in base.edges.
+    The split is given by its first part; part2 is the rest of the edge
+    indices.  Parts may be empty; edge indices are 1-based positions in
+    base.edges.
     """
 
     base: Graph
     part1: frozenset[int]
-    part2: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "part1", frozenset(self.part1))
-        object.__setattr__(self, "part2", frozenset(self.part2))
-        if not check_decomposition(self.base, self.part1, self.part2):
-            raise ValueError("parts must split the edge indices exactly")
+        q = self.base.q
+        if not self.part1 <= frozenset(range(1, q + 1)):
+            raise ValueError(f"edge indices must lie in 1..{q}")
+
+    @property
+    def part2(self) -> frozenset[int]:
+        return frozenset(range(1, self.base.q + 1)) - self.part1
 
 
 def enumerate_2_decompositions(
@@ -93,12 +91,11 @@ def enumerate_2_decompositions(
         raise BudgetExceededError(
             f"refusing to enumerate 2^{G.q} splits: q exceeds cap {cap}"
         )
-    full = frozenset(range(1, G.q + 1))
     for mask in range(2 ** G.q):
-        part1 = frozenset(i for i in full if mask >> (i - 1) & 1)
+        part1 = frozenset(i for i in range(1, G.q + 1) if mask >> (i - 1) & 1)
         if not include_empty and (not part1 or len(part1) == G.q):
             continue
-        yield Decomposition(G, part1, full - part1)
+        yield Decomposition(G, part1)
 
 
 def orient_for_decomposition(G: Graph, bip: Bipartition, d: Decomposition) -> Digraph:
@@ -345,13 +342,14 @@ def obstruction_report(
         raise ValueError(f"need one role per vertex: {Gstar.p} vertices, {len(roles)} roles")
     classes: dict[tuple[str, int], list[int]] = {}
     for w, (side, k) in enumerate(roles, start=1):
-        if side not in ("x", "y") or not 0 <= k <= n:
-            raise ValueError(f"vertex {w} has undefined role ({side!r}, {k})")
+        if side not in ("x", "y") or k not in range(n + 1):
+            raise ValueError(f"vertex {w} has undefined role ({side!r}, {k!r})")
         classes.setdefault((side, k), []).append(w)
     # to_base[w]: the side, copy level and base vertex that w stands for
     to_base: dict[int, tuple[str, int, int]] = {}
+    sides = (("x", sorted(bip.X)), ("y", sorted(bip.Y)))
     for k in range(n + 1):
-        for side, base in (("x", sorted(bip.X)), ("y", sorted(bip.Y))):
+        for side, base in sides:
             members = classes.get((side, k), [])
             if len(members) != len(base):
                 raise ValueError(f"role classes at level {k} do not match the base sides")

@@ -182,7 +182,7 @@ def test_criterion_07_doubling_correctness():
 def test_criterion_08_doubling_count_bounds():
     G = mk_cycle(4)
     bip = bipartition(G)
-    d = Decomposition(G, frozenset({1, 3}), frozenset({2, 4}))
+    d = Decomposition(G, frozenset({1, 3}))
     s = build_s2n(G, bip, d, 1)
     base_em = len(em_spectrum(G).achieved)
     base_sem = len(sem_spectrum(G).achieved)

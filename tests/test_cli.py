@@ -32,6 +32,7 @@ from edgemagic import (
     parse_graph,
     valence_of,
 )
+from edgemagic import products
 from edgemagic.cli import main
 
 C4_TEXT = "p 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
@@ -241,6 +242,22 @@ def test_internal_faults_exit_with_code_three(files, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: internal fault: RuntimeError:") and "bad witness" in err
     assert len(err.strip().splitlines()) == 1
+    # the crown table's own check: the product is matched under a wrong map
+    monkeypatch.undo()
+    cycle_map = products.crown_iso_from_cycle_product
+
+    def wrong_map(m, n):
+        iso = cycle_map(m, n)
+        iso[1], iso[2] = iso[2], iso[1]
+        return iso
+
+    monkeypatch.setattr(products, "crown_iso_from_cycle_product", wrong_map)
+    assert main(["repro", "c4-crown-20"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: internal fault: RuntimeError: product does not match the target under the stated map\n"
+    )
 
 
 def test_a_search_too_deep_for_the_interpreter_is_a_budget_refusal(files, capsys):
@@ -532,7 +549,7 @@ def test_each_doubling_is_oriented_once(files, capsys, monkeypatch):
     monkeypatch.setattr(decomp, "orient_for_decomposition", counted)
     G = mk_cycle(4)
     bip = bipartition(G)
-    d = Decomposition(G, frozenset({1, 2}), frozenset({3, 4}))
+    d = Decomposition(G, frozenset({1, 2}))
     alpha = TotalLabeling((1, 6, 2, 3), (5, 4, 7, 8))
     c4 = files("c4.g", C4_TEXT)
     lab = files("alpha.lab", ALPHA_TEXT)
@@ -554,6 +571,7 @@ def test_s2n_input_errors(files, capsys):
     assert "bipartite" in capsys.readouterr().err
     c4 = files("c4.g", C4_TEXT)
     assert main(["s2n", "--graph", c4, "--h1", "1,9"]) == 2
+    assert capsys.readouterr() == ("", "error: edge indices must lie in 1..4\n")
     assert main(["s2n", "--graph", c4, "--h1", "one"]) == 2
     assert main(["s2n", "--graph", c4, "--h1", " "]) == 2
     assert main(["s2n", "--graph", c4, "--h1", "1,1,2"]) == 2

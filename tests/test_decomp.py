@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import astuple
 
 import pytest
@@ -18,7 +19,6 @@ from edgemagic import (
     TotalLabeling,
     bipartition,
     build_s2n,
-    check_decomposition,
     complement,
     edges_match_under,
     em_spectrum,
@@ -61,23 +61,15 @@ def _h_degrees(G: Graph, part: frozenset[int]) -> list[int]:
     return degs
 
 
-def test_check_decomposition():
-    matching = frozenset({1, 5, 9})
-    rest = frozenset(range(1, 10)) - matching
-    assert check_decomposition(K33, rest, matching)
-    assert check_decomposition(K33, frozenset(range(1, 10)), frozenset())
-    assert not check_decomposition(K33, rest | {1}, matching | {1})
-    assert not check_decomposition(K33, rest - {2}, matching)
-
-
 def test_decomposition_coerces_and_validates():
-    d = Decomposition(P3, {1}, {2})
-    assert isinstance(d.part1, frozenset) and isinstance(d.part2, frozenset)
-    Decomposition(P3, frozenset(), frozenset({1, 2}))
-    with pytest.raises(ValueError):
-        Decomposition(P3, frozenset({1}), frozenset({1, 2}))
-    with pytest.raises(ValueError):
-        Decomposition(P3, frozenset({1}), frozenset())
+    d = Decomposition(P3, {1})
+    assert type(d.part1) is frozenset and d.part1 == {1}
+    assert type(d.part2) is frozenset and d.part2 == {2}
+    assert Decomposition(P3, frozenset()).part2 == {1, 2}
+    assert Decomposition(K33, frozenset(range(1, 10))).part2 == frozenset()
+    for bad in ({0}, {P3.q + 1}, {"1"}):
+        with pytest.raises(ValueError, match=r"^edge indices must lie in 1\.\.2$"):
+            Decomposition(P3, bad)
 
 
 def test_enumeration_counts_and_order():
@@ -96,9 +88,9 @@ def test_enumeration_counts_and_order():
 def test_orientation_follows_the_split():
     c4 = mk_cycle(4)
     bip = bipartition(c4)
-    alternating = Decomposition(c4, frozenset({1, 3}), frozenset({2, 4}))
+    alternating = Decomposition(c4, frozenset({1, 3}))
     assert orient_for_decomposition(c4, bip, alternating).arcs == orient_cycle(4).arcs
-    one_way = Decomposition(c4, frozenset({1, 2, 3, 4}), frozenset())
+    one_way = Decomposition(c4, frozenset({1, 2, 3, 4}))
     D = orient_for_decomposition(c4, bip, one_way)
     assert all(u in bip.X and v in bip.Y for u, v in D.arcs)
     assert Graph(D.p, D.arcs).edges == c4.edges
@@ -107,23 +99,23 @@ def test_orientation_follows_the_split():
 def test_orientation_input_errors():
     c4 = mk_cycle(4)
     bip = bipartition(c4)
-    foreign = Decomposition(P3, frozenset({1}), frozenset({2}))
+    foreign = Decomposition(P3, frozenset({1}))
     with pytest.raises(ValueError):
         orient_for_decomposition(c4, bip, foreign)
-    d = Decomposition(c4, frozenset({1, 3}), frozenset({2, 4}))
+    d = Decomposition(c4, frozenset({1, 3}))
     with pytest.raises(ValueError):
         orient_for_decomposition(c4, Bipartition({1, 2}, {3, 4}), d)
 
 
 def test_doubling_sizes():
     bip = bipartition(K33)
-    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9}, frozenset({1, 5, 9}))
+    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9})
     one = build_s2n(K33, bip, d, 1)
     assert (one.graph.p, one.graph.q) == (12, 18)
     two = build_s2n(K33, bip, d, 2)
     assert (two.graph.p, two.graph.q) == (18, 27)
     c4 = mk_cycle(4)
-    dc = Decomposition(c4, frozenset({1, 3}), frozenset({2, 4}))
+    dc = Decomposition(c4, frozenset({1, 3}))
     s = build_s2n(c4, bipartition(c4), dc, 1)
     assert (s.graph.p, s.graph.q) == (8, 8)
 
@@ -136,7 +128,7 @@ def test_doubling_degree_invariants():
     ]
     for G, part1 in cases:
         bip = bipartition(G)
-        d = Decomposition(G, part1, frozenset(range(1, G.q + 1)) - part1)
+        d = Decomposition(G, part1)
         h1 = _h_degrees(G, d.part1)
         h2 = _h_degrees(G, d.part2)
         for n in (1, 2, 3):
@@ -153,7 +145,7 @@ def test_doubling_degree_invariants():
 
 def test_doubling_roles_and_copy_index():
     bip = bipartition(K33)
-    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9}, frozenset({1, 5, 9}))
+    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9})
     s = build_s2n(K33, bip, d, 1)
     assert s.roles[:6] == (("x", 0),) * 3 + (("y", 0),) * 3
     assert s.roles[6:] == (("x", 1),) * 3 + (("y", 1),) * 3
@@ -172,11 +164,11 @@ def test_doubling_roles_and_copy_index():
 
 def test_build_input_errors():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     with pytest.raises(ValueError):
         build_s2n(P3, bip, d, 0)
     digon = Graph(2, ((1, 2), (1, 2)))
-    dd = Decomposition(digon, frozenset({1}), frozenset({2}))
+    dd = Decomposition(digon, frozenset({1}))
     with pytest.raises(ValueError):
         build_s2n(digon, bipartition(digon), dd, 1)
     c4 = mk_cycle(4)
@@ -198,14 +190,14 @@ def test_product_isomorphism_on_small_suite():
             for n in (1, 2):
                 assert verify_s2n_iso(G, bip, d, n)
     bip = bipartition(K33)
-    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9}, frozenset({1, 5, 9}))
+    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9})
     for n in (1, 2, 3):
         assert verify_s2n_iso(K33, bip, d, n)
 
 
 def test_iso_map_rejects_a_perturbed_copy():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     s = build_s2n(P3, bip, d, 1)
     D = orient_for_decomposition(P3, bip, d)
     star = Digraph(2, ((1, 1), (1, 2)))
@@ -237,7 +229,7 @@ def test_iso_map_matches_the_copy_index_map():
 
 def test_induced_labeling_hits_the_valence_formula():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     for v, f in em_spectrum(P3).witnesses.items():
         for n in (1, 2):
             for r in range(1, n + 2):
@@ -248,7 +240,7 @@ def test_induced_labeling_hits_the_valence_formula():
 
 def test_induced_labeling_keeps_the_super_property():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({2}), frozenset({1}))
+    d = Decomposition(P3, frozenset({2}))
     f = extend_vertex_labeling(P3, (1, 3, 2))
     assert is_super_edge_magic(P3, f) == 9
     for r in (1, 2):
@@ -258,14 +250,14 @@ def test_induced_labeling_keeps_the_super_property():
 
 def test_induced_labeling_rejects_non_magic_bases():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     with pytest.raises(ValueError):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
 
 
 def test_induced_labeling_names_its_refusals(monkeypatch):
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     with pytest.raises(ValueError, match="base labeling is not edge magic"):
         induced_s2n_labeling(P3, bip, d, 1, TotalLabeling((1, 2, 3), (4, 5)), 1)
     with pytest.raises(InvalidLabelingError):
@@ -293,7 +285,7 @@ def test_induced_labeling_names_its_refusals(monkeypatch):
 
 def test_induced_labeling_refuses_a_wrong_fiber_map(monkeypatch):
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     _, f = first_em_labeling(P3)
     # a bijection that swaps two originals no longer matches the edges
     swapped = lambda s: {**s2n_iso_map(s), 1: 2, 3: 1}  # noqa: E731
@@ -418,7 +410,7 @@ def test_doubling_of_a_magic_graph_is_magic():
 
 def _valid_p3_instance(n: int = 1):
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     return build_s2n(P3, bip, d, n)
 
 
@@ -437,7 +429,7 @@ def test_report_passes_on_a_true_doubling():
 
 def test_report_rejects_an_extra_cross_edge_between_levels():
     bip = bipartition(P3)
-    d = Decomposition(P3, frozenset({1}), frozenset({2}))
+    d = Decomposition(P3, frozenset({1}))
     s = build_s2n(P3, bip, d, 2)
     mut = Graph(s.graph.p, s.graph.edges + ((3, s.copy_index(2, 1)),))
     rep = obstruction_report(mut, s.roles, P3, 2)
@@ -493,7 +485,7 @@ def test_report_keeps_an_unsplit_but_consistent_candidate():
     # extra cross pair (1, 4) is no edge of the path, yet every level
     # shows it, so the candidate is a doubling of some other pair
     bip = bipartition(P4)
-    d = Decomposition(P4, frozenset({1, 3}), frozenset({2}))
+    d = Decomposition(P4, frozenset({1, 3}))
     s = build_s2n(P4, bip, d, 1)
     mut = Graph(s.graph.p, s.graph.edges + ((1, s.copy_index(4, 1)),))
     rep = obstruction_report(mut, s.roles, P4, 1)
@@ -514,7 +506,7 @@ def test_report_degrades_to_inconclusive_on_budget():
 
 def test_report_vacuous_pass_when_the_base_has_no_super_labelings():
     bip = bipartition(K33)
-    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9}, frozenset({1, 5, 9}))
+    d = Decomposition(K33, frozenset(range(1, 10)) - {1, 5, 9})
     s = build_s2n(K33, bip, d, 1)
     rep = obstruction_report(s.graph, s.roles, K33, 1)
     assert rep.overall == "inconclusive"
@@ -542,6 +534,13 @@ def test_report_rejects_malformed_roles_and_bases():
         obstruction_report(s.graph, s.roles, Graph(2, ((1, 2), (1, 2))), 1)
     with pytest.raises(ValueError):
         obstruction_report(s.graph, s.roles, P3, 0)
+    # a level outside the integers 0..n is refused by name, not misfiled
+    s2 = _valid_p3_instance(2)
+    for level in (0.5, "1", None):
+        odd = (("x", level),) + s2.roles[1:]
+        message = rf"^vertex 1 has undefined role \('x', {re.escape(repr(level))}\)$"
+        with pytest.raises(ValueError, match=message):
+            obstruction_report(s2.graph, odd, P3, 2)
 
 
 # Frozen doublings and reports.  The sha256 digests were recorded from a

@@ -327,7 +327,7 @@ def test_cycle_outer_requires_edge_magic_outer():
         )
 
 
-def test_crown_iso_maps_products_onto_crowns():
+def test_crown_iso_maps_products_onto_crowns(monkeypatch):
     crown = mk_crown(4, 2)
     star, cyc = star_loop_labeling(2, 2), orient_cycle(4)
     # the factors as built
@@ -344,6 +344,18 @@ def test_crown_iso_maps_products_onto_crowns():
     P2 = tensor_product(star.digraph, [ncyc.digraph] * 3)
     iso = through_member_map(crown_iso_from_star_product(4, 2), member_map)
     assert edges_match_under(P2, crown, iso)
+    # the crown table matches each product under its map before using it,
+    # so a map with the images of vertices 1 and 2 exchanged is refused
+    cycle_map = products.crown_iso_from_cycle_product
+
+    def wrong_map(m, n):
+        iso = cycle_map(m, n)
+        iso[1], iso[2] = iso[2], iso[1]
+        return iso
+
+    monkeypatch.setattr(products, "crown_iso_from_cycle_product", wrong_map)
+    with pytest.raises(RuntimeError, match="^product does not match the target under the stated map$"):
+        star_product_valences(4, 2, CYCLE4_EM_LABELINGS)
 
 
 def test_crown_maps_are_frozen():
@@ -530,6 +542,19 @@ def test_crown_table_builds_one_labeling_per_entry(monkeypatch):
             built.clear()
             table = star_product_valences(m, n, witnesses)
             assert built == list(table)
+    # a route that sends two crown vertices to each other's positions is
+    # caught when the carried labeling is re-checked on the crown
+    route = products._route
+
+    def misrouted(product, target, iso):
+        r = route(product, target, iso)
+        vl = list(r.vertex_labels)
+        vl[0], vl[1] = vl[1], vl[0]
+        return TotalLabeling(tuple(vl), r.edge_labels)
+
+    monkeypatch.setattr(products, "_route", misrouted)
+    with pytest.raises(RuntimeError, match="^transported labeling lost its valence$"):
+        star_product_valences(4, 2, CYCLE4_EM_LABELINGS)
 
 
 def test_valence_count_floor_cases():

@@ -845,7 +845,7 @@ def twin_rich_multigraphs(draw) -> Graph:
     elif family == "doubling":
         K2 = Graph(2, ((1, 2),))
         part1 = draw(st.sampled_from((frozenset(), frozenset({1}))))
-        d = Decomposition(K2, part1, frozenset({1}) - part1)
+        d = Decomposition(K2, part1)
         G = build_s2n(K2, bipartition(K2), d, 1).graph
     else:
         b = draw(st.integers(1, 3))
